@@ -1,0 +1,17 @@
+"""The one process-pool fan-out shared by the chunked computations."""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+
+
+def parallel_map(fn, tasks: list, threads: int) -> list:
+    """[fn(t) for t in tasks], in task order.
+
+    Worker processes start only when threads > 1 and there is more than
+    one task; otherwise everything runs in the calling process.
+    """
+    if threads > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]

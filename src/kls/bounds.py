@@ -18,20 +18,19 @@ integers are only materialized on near-ties.  All logarithms natural.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .errors import BudgetExceeded, DeltaOutOfRange
+from ._pool import parallel_map
+from .errors import DEFAULT_BUDGET, BudgetExceeded, DeltaOutOfRange
 from .factored import FactoredInteger, kernel
 from .klsum import SumSpec, eval_sum
 from .postnikov import make_context, w_direct
 
 GAMMA_T1 = 160.0**-4
 GAMMA1_T1 = 900.0
-DEFAULT_BUDGET = 10**8
 
 _N_CHUNK = 4096
 
@@ -281,23 +280,16 @@ def holder_constant(k: int, m: int) -> float:
     return value
 
 
-def _w_abs_chunk(args: tuple) -> tuple[float, int]:
-    """Sum of |W(n)| over coprime n in (n_lo, n_hi], plus the coprime count."""
-    spec, eps, h, n_lo, n_hi, precision = args
+def _w_abs_chunk(args: tuple) -> float:
+    """Sum of |W(n)| over coprime n in (n_lo, n_hi]."""
+    spec, eps, h, n_lo, n_hi = args
     ctx = make_context(spec.q, eps)
     d = kernel(spec.q).value
-    total = comp = 0.0
-    counted = 0
-    for n in range(n_lo + 1, n_hi + 1):
-        if math.gcd(n + spec.c, d) != 1:
-            continue
-        w = w_direct(n, spec, ctx, h, precision)
-        y = w.abs_value() - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        counted += 1
-    return total, counted
+    return math.fsum(
+        w_direct(n, spec, ctx, h).abs_value()
+        for n in range(n_lo + 1, n_hi + 1)
+        if math.gcd(n + spec.c, d) == 1
+    )
 
 
 def amplified_bound(
@@ -306,14 +298,14 @@ def amplified_bound(
     h: int,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    precision: int = 53,
 ) -> tuple[float, float, bool]:
     """The smoothing inequality |S| <= h^-2 sum_n |W(n)| + h^2 q_eps, checked.
 
     Requires the window start to be kernel-aligned (c = 0 mod d).  Returns
     (rhs, lhs, holds) with lhs = |eval_sum(spec)| and a relative tolerance
-    of 1e-6 on the comparison.  The n-loop runs in fixed-size chunks,
-    combined in ascending order, so any thread count gives one answer.
+    of 1e-6 on the comparison.  The n-loop runs in fixed-size chunks whose
+    partial sums are combined with math.fsum, so any thread count gives
+    one answer.
     """
     d = kernel(spec.q).value
     if spec.c % d != 0:
@@ -327,20 +319,10 @@ def amplified_bound(
             budget=budget,
         )
     edges = list(range(0, spec.N, _N_CHUNK)) + [spec.N]
-    tasks = [(spec, eps, h, e0, e1, precision) for e0, e1 in zip(edges, edges[1:])]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_w_abs_chunk, tasks))
-    else:
-        partials = [_w_abs_chunk(t) for t in tasks]
-    total = comp = 0.0
-    for part, _ in partials:
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    tasks = [(spec, eps, h, e0, e1) for e0, e1 in zip(edges, edges[1:])]
+    total = math.fsum(parallel_map(_w_abs_chunk, tasks, threads))
     rhs = total / (h * h) + h * h * ctx.q_eps.value
-    lhs = eval_sum(spec, precision=precision).value.abs_value()
+    lhs = eval_sum(spec).value.abs_value()
     return rhs, lhs, lhs <= rhs + 1e-6 * rhs
 
 
@@ -353,8 +335,9 @@ def regime_report(
     """Where (if anywhere) the bound's window sits for this modulus.
 
     Concrete mode takes q; symbolic mode takes ln_q (and optionally ln_d,
-    default ln 2) for moduli too large to hold.  With delta the report
-    covers the delta-parameterized window instead.  Keys include the two
+    default ln 2) for moduli too large to hold; both must be finite and
+    positive, or ValueError is raised.  With delta the report covers the
+    delta-parameterized window instead.  Keys include the two
     lower thresholds (as natural logs), the upper limit, whether the
     window is nonempty, the binding constraint when empty, and the
     crossover value of ln q past which the exponential threshold fits
@@ -370,6 +353,8 @@ def regime_report(
         ln_q_val = float(ln_q)
         d = None
         ln_d_val = math.log(2.0) if ln_d is None else float(ln_d)
+    if not all(math.isfinite(x) and x > 0 for x in (ln_q_val, ln_d_val)):
+        raise ValueError(f"ln q and ln d must be finite and > 0, got {ln_q_val}, {ln_d_val}")
     if delta is None:
         gamma1 = GAMMA1_T1
         kernel_exp = 15.0

@@ -28,13 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import regime_report, theorem1_bound, theorem2_bound
-from .errors import BudgetExceeded, KlsError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, KlsError
 from .factored import FactoredInteger
 from .klsum import SCAN_FIELDS, SumSpec, eval_sum, scan
 from .verify import SUITES, run_suite
 from .vmvt import VinogradovInstance, j_count
-
-DEFAULT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -150,10 +148,16 @@ def _render(payload, cfg: RunConfig) -> str:
     return _csv_table(keys, [[payload[k] for k in keys]])
 
 
+def _charge(cost: int, cfg: RunConfig, what: str) -> None:
+    if cost > cfg.budget:
+        raise BudgetExceeded(f"{what} exceeds budget", cost, cfg.budget)
+
+
 def _cmd_eval(args, cfg: RunConfig):
     spec = SumSpec(
         q=FactoredInteger.parse(args.q), N=args.N, a=args.a, b=args.b, c=args.c
     )
+    _charge(spec.N, cfg, "window length N")
     res = eval_sum(spec, threads=cfg.threads, precision=cfg.precision_bits)
     payload = {
         "q": str(spec.q),
@@ -172,15 +176,10 @@ def _cmd_eval(args, cfg: RunConfig):
 
 
 def _cmd_scan(args, cfg: RunConfig):
-    rows = scan(
-        FactoredInteger.parse(args.q),
-        args.a,
-        args.b,
-        args.c,
-        _parse_int_list(args.N_values, "--N-values"),
-        threads=cfg.threads,
-        precision=cfg.precision_bits,
-    )
+    q = FactoredInteger.parse(args.q)
+    N_values = _parse_int_list(args.N_values, "--N-values")
+    _charge(sum(N_values), cfg, "total window length")
+    rows = scan(q, args.a, args.b, args.c, N_values, threads=cfg.threads)
     if cfg.output_format == "json":
         return 0, json.dumps(_json_safe(rows), indent=2) + "\n"
     return 0, _csv_table(SCAN_FIELDS, [[row[k] for k in SCAN_FIELDS] for row in rows])
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None, help="worker processes")
     common.add_argument(
-        "--precision", type=int, default=None, help="working precision in bits (<= 53)"
+        "--precision", type=int, default=None, help="precision in bits (<= 53) behind eval's err"
     )
     common.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit unsigned)")
     common.add_argument(

@@ -22,6 +22,10 @@ class DivisibilityFailure(KlsError):
     """
 
 
+# Default cost ceiling for budgeted operations and the command line's --budget.
+DEFAULT_BUDGET = 10**8
+
+
 class BudgetExceeded(KlsError):
     """Raised when an enumeration or evaluation would exceed the configured budget."""
 

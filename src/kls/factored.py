@@ -17,13 +17,15 @@ Floating-point results are carried as :class:`ComplexEstimate` values whose
   float division, the multiplication by pi, and the libm sin/cos calls,
   which together stay below ``2^-48`` in absolute value on IEEE-754
   doubles (argument in ``[0, pi/2)`` after exact quadrant reduction);
-* a sum of ``T`` such terms, accumulated in a fixed order with compensated
-  (or pairwise) summation, carries ``err <= T * 2^-46``: the per-term
-  ``2^-48`` plus the compensated-summation bound ``2 * T * 2^-53 * max|S|``
-  both fit under that constant for ``T <= 10^9``.
+* a sum of ``T`` such terms carries ``err <= T * 2^-46``.  Sums are
+  taken with ``math.fsum``, which is correctly rounded and adds at most
+  ``2^-53 * |S| <= T * 2^-53``; where numpy sums a fixed-size chunk
+  first (pairwise, at most ``2^16`` terms), that adds at most ``2^-49``
+  per term.  Both fit under the constant beside the per-term ``2^-48``.
 
-``precision_bits`` below 53 only loosens the documented constant (the
-computation itself always runs in doubles); values above 53 are rejected.
+``precision_bits`` below 53 only loosens the documented constant, to
+``2^(7 - precision_bits)`` per term (the computation itself always runs
+in doubles); values above 53 are rejected.
 """
 
 from __future__ import annotations
@@ -234,18 +236,16 @@ class ComplexEstimate:
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    def conjugate(self) -> "ComplexEstimate":
-        return ComplexEstimate(self.re, -self.im, self.err)
-
 
 def per_term_bound(precision_bits: int = 53) -> float:
     """Documented per-term rounding constant for the chosen precision.
 
-    2^-46 at the default 53 bits; see the module docstring for the model.
+    2^(7 - bits): 2^-46 at the default 53 bits, growing as the precision
+    drops; see the module docstring for the model.
     """
     if not 1 <= precision_bits <= 53:
         raise ValueError(f"precision_bits must be in [1, 53], got {precision_bits}")
-    return 2.0 ** (precision_bits - 99)
+    return 2.0 ** (7 - precision_bits)
 
 
 def unit_root(v: int, q: int) -> complex:
@@ -271,15 +271,9 @@ def unit_root(v: int, q: int) -> complex:
     return complex(re + 0.0, im + 0.0)
 
 
-def e_q(v: int, q: int, precision: int = 53) -> ComplexEstimate:
+def e_q(v: int, q: int) -> ComplexEstimate:
     """e_q(v) = e^(2 pi i v / q) as a ComplexEstimate."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     z = unit_root(v, q)
-    return ComplexEstimate(z.real, z.imag, per_term_bound(precision))
-
-
-def unit_phase(t: Fraction, precision: int = 53) -> ComplexEstimate:
-    """e(t) = e^(2 pi i t) for an exact rational t, reduced mod 1 exactly."""
-    t = t - (t.numerator // t.denominator)
-    return e_q(t.numerator, t.denominator, precision)
+    return ComplexEstimate(z.real, z.imag, per_term_bound())

@@ -9,18 +9,19 @@ Evaluation partitions the window into fixed-size chunks.  Each chunk
 inverts its residues with one batched inversion (prefix products and a
 single modular inverse), reduces every exponent argument exactly mod q
 in integer arithmetic, and only then converts to floating point.  Chunk
-partial sums are combined in ascending chunk order with compensated
-summation, so the result is bit-identical for any worker count.
+boundaries are fixed and the chunk partial sums are combined with
+``math.fsum``, which is correctly rounded and so independent of order:
+the result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import parallel_map
 from .factored import ComplexEstimate, FactoredInteger, kernel, per_term_bound
 
 CHUNK = 1 << 16
@@ -63,8 +64,9 @@ class SumResult:
     skipped: int
 
 
-def _chunk_sum(q: int, d: int, a: int, b: int, lo: int, hi: int) -> tuple[float, float, int, int]:
-    """Partial sum over the window (lo, hi]: (re, im, counted, skipped)."""
+def _chunk_sum(task: tuple[int, int, int, int, int, int]) -> tuple[float, float, int, int]:
+    """Partial sum of task (q, d, a, b, lo, hi) over (lo, hi]: (re, im, counted, skipped)."""
+    q, d, a, b, lo, hi = task
     gcd = math.gcd
     ns = [n for n in range(lo + 1, hi + 1) if gcd(n, d) == 1]
     skipped = (hi - lo) - len(ns)
@@ -89,10 +91,6 @@ def _chunk_sum(q: int, d: int, a: int, b: int, lo: int, hi: int) -> tuple[float,
     return float(np.cos(th).sum()), float(np.sin(th).sum()), k, skipped
 
 
-def _chunk_task(task: tuple[int, int, int, int, int, int]) -> tuple[float, float, int, int]:
-    return _chunk_sum(*task)
-
-
 def eval_sum(spec: SumSpec, threads: int = 1, precision: int = 53) -> SumResult:
     """Evaluate the sum; deterministic for any thread count.
 
@@ -105,28 +103,10 @@ def eval_sum(spec: SumSpec, threads: int = 1, precision: int = 53) -> SumResult:
     lo, hi = spec.c, spec.c + spec.N
     edges = list(range(lo, hi, CHUNK)) + [hi]
     tasks = [(q, d, spec.a, spec.b, e0, e1) for e0, e1 in zip(edges, edges[1:])]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_chunk_task, tasks, chunksize=4))
-    else:
-        partials = [_chunk_task(t) for t in tasks]
-
-    re = im = 0.0
-    cre = cim = 0.0  # Kahan compensation
-    counted = skipped = 0
-    for pre, pim, pk, psk in partials:
-        y = pre - cre
-        t = re + y
-        cre = (t - re) - y
-        re = t
-        y = pim - cim
-        t = im + y
-        cim = (t - im) - y
-        im = t
-        counted += pk
-        skipped += psk
-    err = counted * per_term_bound(precision)
-    return SumResult(ComplexEstimate(re, im, err), counted, skipped)
+    re, im, counted, skipped = zip(*parallel_map(_chunk_sum, tasks, threads))
+    terms = sum(counted)
+    value = ComplexEstimate(math.fsum(re), math.fsum(im), terms * per_term_bound(precision))
+    return SumResult(value, terms, sum(skipped))
 
 
 def shift_to_kernel(spec: SumSpec) -> tuple[SumSpec, int]:
@@ -151,7 +131,6 @@ def scan(
     c: int,
     N_values: list[int],
     threads: int = 1,
-    precision: int = 53,
 ) -> list[dict]:
     """One row per N, in input order: value, trivial bound, formula bound.
 
@@ -162,7 +141,7 @@ def scan(
 
     rows = []
     for N in N_values:
-        res = eval_sum(SumSpec(q, N, a, b, c), threads=threads, precision=precision)
+        res = eval_sum(SumSpec(q, N, a, b, c), threads=threads)
         report = theorem1_bound(q, N)
         absval = res.value.abs_value()
         rows.append(

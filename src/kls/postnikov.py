@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import DivisibilityFailure, NotCoprime
@@ -117,83 +118,66 @@ def weyl_coefficients(n: int, spec: SumSpec, ctx: PostnikovContext) -> WeylCoeff
     return WeylCoefficients(ctx.m, tuple(a_list), alpha, v, spec.a * v % q, ctx)
 
 
-def w_direct(
-    n: int, spec: SumSpec, ctx: PostnikovContext, h: int, precision: int = 53
-) -> ComplexEstimate:
-    """The h-by-h smoothed sum at window point n, term by term.
+@lru_cache(maxsize=None)
+def _product_counts(h: int) -> tuple[tuple[int, int], ...]:
+    """(u, tau_h(u)) for each product u = x*y with x, y in [1, h]; tau_h counts the pairs."""
+    counts: dict[int, int] = {}
+    for x in range(1, h + 1):
+        for y in range(1, h + 1):
+            counts[x * y] = counts.get(x * y, 0) + 1
+    return tuple(counts.items())
 
-    Sum over x, y in [1,h] of e_q(a*(n+c+q_eps*x*y)* + b*q_eps*x*y); every
-    exponent argument is reduced exactly mod q.  Rows are accumulated in
-    ascending x order with compensated summation.
+
+def _grid_sum(h: int, arg_of, q: int) -> ComplexEstimate:
+    """Sum over x, y in [1, h] of e_q(arg_of(x*y)).
+
+    The phase depends on x*y only, so each distinct product is evaluated
+    once and weighted by its pair count; the weighted terms are summed
+    with ``math.fsum``.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
+    roots = [(tau, unit_root(arg_of(u), q)) for u, tau in _product_counts(h)]
+    return ComplexEstimate(
+        math.fsum(tau * z.real for tau, z in roots),
+        math.fsum(tau * z.imag for tau, z in roots),
+        h * h * per_term_bound(),
+    )
+
+
+def w_direct(n: int, spec: SumSpec, ctx: PostnikovContext, h: int) -> ComplexEstimate:
+    """The h-by-h smoothed sum at window point n, from its definition.
+
+    Sum over x, y in [1,h] of e_q(a*(n+c+q_eps*x*y)* + b*q_eps*x*y); every
+    exponent argument is an exact integer, reduced mod q before the one
+    float conversion.
+    """
     q = spec.q.value
     qe = ctx.q_eps.value
     base = n + spec.c
     if math.gcd(base, q) != 1:
         raise NotCoprime(base, q)
-    cache: dict[int, complex] = {}
-    re = im = 0.0
-    cre = cim = 0.0
-    for x in range(1, h + 1):
-        row_re = row_im = 0.0
-        for y in range(1, h + 1):
-            u = x * y
-            z = cache.get(u)
-            if z is None:
-                arg = (spec.a * pow(base + qe * u, -1, q) + spec.b * qe * u) % q
-                z = unit_root(arg, q)
-                cache[u] = z
-            row_re += z.real
-            row_im += z.imag
-        yv = row_re - cre
-        t = re + yv
-        cre = (t - re) - yv
-        re = t
-        yv = row_im - cim
-        t = im + yv
-        cim = (t - im) - yv
-        im = t
-    return ComplexEstimate(re, im, h * h * per_term_bound(precision))
+    a, b = spec.a, spec.b
+    return _grid_sum(h, lambda u: a * pow(base + qe * u, -1, q) + b * qe * u, q)
 
 
-def w_poly(coeffs: WeylCoefficients, h: int, precision: int = 53) -> ComplexEstimate:
+def w_poly(coeffs: WeylCoefficients, h: int) -> ComplexEstimate:
     """The polynomial Weyl sum: sum over x, y in [1,h] of e(sum alpha_r (xy)^r).
 
     Each grid point's phase is assembled as a single exact rational mod 1
     (integer Horner evaluation of the a_r at xy, mod q, over q) and
     converted to floating point once.
     """
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
     q = coeffs.ctx.q.value
     a_rev = coeffs.a_r[::-1]
-    cache: dict[int, complex] = {}
-    re = im = 0.0
-    cre = cim = 0.0
-    for x in range(1, h + 1):
-        row_re = row_im = 0.0
-        for y in range(1, h + 1):
-            u = x * y
-            z = cache.get(u)
-            if z is None:
-                arg = 0
-                for ar in a_rev:
-                    arg = (arg + ar) * u % q
-                z = unit_root(arg, q)
-                cache[u] = z
-            row_re += z.real
-            row_im += z.imag
-        yv = row_re - cre
-        t = re + yv
-        cre = (t - re) - yv
-        re = t
-        yv = row_im - cim
-        t = im + yv
-        cim = (t - im) - yv
-        im = t
-    return ComplexEstimate(re, im, h * h * per_term_bound(precision))
+
+    def arg_of(u: int) -> int:
+        arg = 0
+        for ar in a_rev:
+            arg = (arg + ar) * u % q
+        return arg
+
+    return _grid_sum(h, arg_of, q)
 
 
 def denominator_Q_r(coeffs: WeylCoefficients, r: int) -> tuple[FactoredInteger, FactoredInteger]:

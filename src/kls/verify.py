@@ -26,10 +26,11 @@ import random
 from fractions import Fraction
 
 from .bounds import amplified_bound
+from .errors import DEFAULT_BUDGET
 from .factored import FactoredInteger, kernel, unit_root
 from .klsum import SumSpec, eval_sum, shift_to_kernel
 from .postnikov import inverse_expansion, make_context, w_direct, w_poly, weyl_coefficients
-from .vmvt import DEFAULT_BUDGET, lemma4_check
+from .vmvt import lemma4_check
 from .weyl import geometric_sum_check, lemma3_check, rational_approx
 
 _EPS_CHOICES = (
@@ -328,8 +329,11 @@ def run_suite(
     """Run one named suite and return its report dict.
 
     ``cases = None`` selects each suite's default size.  Unknown names
-    raise ValueError (the command line turns that into a usage error).
+    and ``cases < 1`` raise ValueError (the command line turns that into
+    a usage error).
     """
+    if cases is not None and cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     try:
         fn = SUITES[name]
     except KeyError:

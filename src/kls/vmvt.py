@@ -15,13 +15,11 @@ space and D is never materialized.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .errors import BudgetExceeded
-
-DEFAULT_BUDGET = 10**8
+from ._pool import parallel_map
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,7 @@ def power_sum_histogram(k: int, m: int, P: int, threads: int = 1) -> PowerSumHis
     if cached is not None:
         return cached
     tasks = [(k, m, P, first) for first in range(1, P + 1)]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            slices = list(pool.map(_hist_slice, tasks))
-    else:
-        slices = [_hist_slice(t) for t in tasks]
+    slices = parallel_map(_hist_slice, tasks, threads)
     counts: dict[tuple[int, ...], int] = {}
     for part in slices:
         for key, v in part.items():

@@ -135,18 +135,16 @@ def lemma3_check(
     C = bfr.numerator * (B // bfr.denominator) % B
     ufr = Fraction(U)
     un, ud = ufr.numerator, ufr.denominator
-    lhs = 0.0
-    comp = 0.0
-    r = C
-    for _ in range(P):
-        r = (r + A) % B
-        k = r if 2 * r <= B else B - r
-        # term = min(U, B/k); U <= B/k  iff  un*k <= B*ud
-        term = U if k == 0 or un * k <= B * ud else B / k
-        y = term - comp
-        t = lhs + y
-        comp = (t - lhs) - y
-        lhs = t
+
+    def terms():
+        r = C
+        for _ in range(P):
+            r = (r + A) % B
+            k = r if 2 * r <= B else B - r
+            # term = min(U, B/k); U <= B/k  iff  un*k <= B*ud
+            yield U if k == 0 or un * k <= B * ud else B / k
+
+    lhs = math.fsum(terms())
     Q = approx.Q
     rhs = 6.0 * (P / Q + 1.0) * (U + Q * math.log(Q))
     return lhs, rhs, lhs <= rhs
@@ -184,16 +182,13 @@ def v_r_sum(alpha: Fraction, Lambda: int) -> float:
     B = alpha.denominator
     A = alpha.numerator % B
     U = 2 * Lambda
-    total = float(U)  # mu = 0 term: dist 0, min saturates at U
-    comp = 0.0
-    r = 0
-    for _ in range(Lambda - 1):
-        r = (r + A) % B
-        k = r if 2 * r <= B else B - r
-        term = float(U) if k == 0 or U * k <= B else B / k
-        term *= 2.0  # mu and -mu agree
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+
+    def terms():
+        yield U  # mu = 0 term: dist 0, min saturates at U
+        r = 0
+        for _ in range(Lambda - 1):
+            r = (r + A) % B
+            k = r if 2 * r <= B else B - r
+            yield 2 * (U if k == 0 or U * k <= B else B / k)  # mu and -mu agree
+
+    return math.fsum(terms())

@@ -111,6 +111,21 @@ def test_jcount_budget_exit3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--q", "9", "--N", "11", "--a", "1"],
+        ["scan", "--q", "9", "--a", "1", "--N-values", "4,7"],
+    ],
+    ids=["eval", "scan"],
+)
+def test_eval_and_scan_budget_exit3(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "10")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 def test_jcount_explicit_offsets(capsys):
     code, out, _ = run(capsys, "jcount", "--k", "2", "--m", "2", "--P", "3",
                        "--lambda", "0,3", "--format", "json")
@@ -158,6 +173,27 @@ def test_regime_symbolic_nonempty(capsys):
 def test_regime_argument_validation(capsys):
     assert run(capsys, "regime")[0] == 2
     assert run(capsys, "regime", "--q", "9", "--ln-q", "50")[0] == 2
+
+
+@pytest.mark.parametrize("ln_q", ["-5", "0", "nan", "inf"])
+def test_regime_rejects_nonpositive_or_nonfinite_ln_q(capsys, ln_q):
+    code, _, err = run(capsys, "regime", "--ln-q", ln_q)
+    assert code == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cases", ["-1", "0"])
+def test_verify_cases_below_one_exit2(capsys, cases):
+    code, out, err = run(capsys, "verify", "lemma1", "--cases", cases)
+    assert code == 2
+    assert out == ""
+    assert "cases" in err
+
+
+def test_err_grows_as_precision_drops(capsys):
+    base = ["eval", "--q", "3^2", "--N", "8", "--a", "1", "--format", "json"]
+    errs = [json.loads(run(capsys, *base, "--precision", bits)[1])["err"] for bits in ("40", "53")]
+    assert errs[0] >= errs[1] > 0
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
