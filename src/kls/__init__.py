@@ -18,6 +18,7 @@ from .bounds import (
 )
 from .errors import (
     BudgetExceeded,
+    CertificateFailure,
     DeltaOutOfRange,
     DivisibilityFailure,
     KlsError,
@@ -71,6 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BudgetExceeded",
+    "CertificateFailure",
     "ComplexEstimate",
     "DampingFactor",
     "DeltaOutOfRange",

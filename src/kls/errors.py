@@ -37,3 +37,11 @@ class BudgetExceeded(KlsError):
 
 class DeltaOutOfRange(KlsError):
     """Raised when the delta parameter lies outside the open interval (0, 0.1)."""
+
+
+class CertificateFailure(KlsError):
+    """Raised when the difference evaluator's stepped phases miss their exact values.
+
+    Every call checks its last step in exact integers, so this indicates
+    a bug, not a bad argument; no sum is returned.
+    """

@@ -13,10 +13,16 @@ Floating-point results are carried as :class:`ComplexEstimate` values whose
 ``err`` field is a guaranteed bound on ``|computed - exact|``:
 
 * every unit-circle value ``e(v/q)`` is produced from an exactly reduced
-  integer argument ``v mod q``; the only rounding happens in the final
-  float division, the multiplication by pi, and the libm sin/cos calls,
-  which together stay below ``2^-48`` in absolute value on IEEE-754
-  doubles (argument in ``[0, pi/2)`` after exact quadrant reduction);
+  integer argument ``v mod q``, and its rounding stays below ``2^-48`` in
+  absolute value on IEEE-754 doubles (``u = 2^-53``).  :func:`unit_root`
+  reduces the quadrant exactly and calls libm sin/cos on ``[0, pi/2)``.
+  The vectorised sums in :mod:`kls.klsum` and :mod:`kls.weyl` call numpy
+  cos/sin on a whole turn ``theta = 2 pi v / q`` in ``[0, 2 pi)`` instead:
+  the int-to-float conversion of ``v`` (or the correctly rounded ``v/q``),
+  the scale ``fl(2 pi / q)`` (which rounds ``q``, pi and the quotient)
+  and the product add at most ``4.35 u`` relative, so ``theta`` is off by
+  at most ``4.35 u * 2 pi < 27.4 u``; sin and cos add at most ``4 ulp <=
+  4 u`` more, and the total ``31.4 u`` is still below ``2^-48 = 32 u``;
 * a sum of ``T`` such terms carries ``err <= T * 2^-46``.  Sums are
   taken with ``math.fsum``, which is correctly rounded and adds at most
   ``2^-53 * |S| <= T * 2^-53``; where numpy sums a fixed-size chunk

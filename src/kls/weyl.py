@@ -80,13 +80,11 @@ def geometric_sum_check(alpha: Fraction, P: int) -> tuple[ComplexEstimate, float
         re = float(np.cos(th).sum())
         im = float(np.sin(th).sum())
     else:
-        re = im = 0.0
-        r = 0
-        for _ in range(P):
-            r = (r + A) % B
-            z = unit_root(r, B)
-            re += z.real
-            im += z.imag
+        z = np.fromiter(
+            (unit_root(A * n, B) for n in range(1, P + 1)), dtype=np.complex128, count=P
+        )
+        re = math.fsum(z.real)
+        im = math.fsum(z.imag)
     value = ComplexEstimate(re, im, P * per_term_bound())
     dist = dist_to_int(alpha)
     bound = float(P) if dist == 0 else min(float(P), float(1 / dist))

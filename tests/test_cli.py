@@ -190,6 +190,13 @@ def test_verify_cases_below_one_exit2(capsys, cases):
     assert "cases" in err
 
 
+def test_verify_lemma4_cases_caps_grid(capsys):
+    code, out, _ = run(capsys, "verify", "lemma4", "--cases", "5", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["cases"] == 5 and report["skipped"] == 0
+
+
 def test_err_grows_as_precision_drops(capsys):
     base = ["eval", "--q", "3^2", "--N", "8", "--a", "1", "--format", "json"]
     errs = [json.loads(run(capsys, *base, "--precision", bits)[1])["err"] for bits in ("40", "53")]

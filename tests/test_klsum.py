@@ -4,9 +4,25 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kls.factored import FactoredInteger
-from kls.klsum import SCAN_FIELDS, SumSpec, eval_sum, scan, shift_to_kernel
+from kls import klsum
+from kls.errors import CertificateFailure
+from kls.factored import FactoredInteger, kernel
+from kls.klsum import (
+    CHUNK,
+    DIFFERENCE_LIMIT,
+    SCAN_FIELDS,
+    SumSpec,
+    _chunk_sum,
+    _difference_step,
+    _difference_sum,
+    _plan,
+    eval_sum,
+    scan,
+    shift_to_kernel,
+)
 
 from oracles import naive_sum
 
@@ -133,3 +149,116 @@ def test_scan_rows():
     single = scan(q, 1, 0, 0, [1])
     assert len(single) == 1
     assert single[0]["ratio"] == single[0]["abs"] / single[0]["terms"]
+
+
+def _powerful_case(rng: random.Random) -> tuple[FactoredInteger, int, int]:
+    """(q, a, b): q below 2^62 with 1 to 3 primes, each squared or more."""
+    while True:
+        primes = sorted(rng.sample((2, 3, 5, 7, 11, 13, 17), rng.randint(1, 3)))
+        q = FactoredInteger.from_factors((p, rng.randint(2, 40)) for p in primes)
+        if q.value < DIFFERENCE_LIMIT:
+            break
+    a = rng.randrange(1, q.value)
+    while math.gcd(a, q.value) != 1:
+        a = rng.randrange(1, q.value)
+    return q, a, rng.randrange(q.value)
+
+
+def _assert_kernels_agree(q: FactoredInteger, N: int, a: int, b: int, c: int):
+    """Both kernels on the whole window (c, c+N]: equal counts, values within both errs.
+
+    The difference kernel runs at the step eval_sum would choose, or at
+    s = d below the crossover.
+    """
+    qv, d = q.value, kernel(q).value
+    step = _difference_step(q, N)
+    s, m = step if step else (d, max(alpha for _, alpha in q.factors) - 1)
+    diff = _difference_sum((qv, d, a, b, c, c + N, s, m))
+    batch = _chunk_sum((qv, d, a, b, c, c + N))
+    assert diff[2:] == batch[2:]
+    assert diff[2] + diff[3] == N
+    tol = 2 * diff[2] * 2.0**-46
+    assert abs(complex(diff[0], diff[1]) - complex(batch[0], batch[1])) <= tol
+
+
+def test_difference_kernel_matches_batch_random():
+    rng = random.Random(31)
+    sides = set()
+    for _ in range(40):
+        q, a, b = _powerful_case(rng)
+        N = rng.choice((rng.randrange(1, 3000), rng.randrange(10**4, 6 * 10**4)))
+        if N % kernel(q).value == 0:
+            N += 1
+        c = rng.choice((-1, 1)) * rng.randrange(10**12)
+        sides.add(_difference_step(q, N) is None)
+        _assert_kernels_agree(q, N, a, b, c)
+    assert sides == {True, False}  # windows on both sides of the crossover
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    N=st.integers(1, 5000),
+    c=st.integers(-(10**15), 10**15),
+)
+def test_difference_kernel_equals_batch_property(seed, N, c):
+    q, a, b = _powerful_case(random.Random(seed))
+    _assert_kernels_agree(q, N, a, b, c)
+
+
+def test_corrupted_difference_table_raises(monkeypatch):
+    exact = klsum._difference_table
+
+    def corrupted(q, a, b, ns, s, m):
+        table = exact(q, a, b, ns, s, m)
+        table[m, len(ns) // 2] = (int(table[m, len(ns) // 2]) + 1) % q
+        return table
+
+    spec = spec_of(3**30, 20000, 5, 7, -11)
+    assert _difference_step(spec.q, spec.N) is not None
+    good = eval_sum(spec)
+    monkeypatch.setattr(klsum, "_difference_table", corrupted)
+    with pytest.raises(CertificateFailure):
+        eval_sum(spec)
+    monkeypatch.setattr(klsum, "_difference_table", exact)
+    assert eval_sum(spec) == good
+
+
+def test_large_modulus_takes_batch_path_thread_identical():
+    q = FactoredInteger.parse("2^30*3^21")
+    assert q.value >= DIFFERENCE_LIMIT
+    N = 2 * CHUNK + 1234
+    spec = SumSpec(q, N, 5, 7, -(10**9))
+    tasks = _plan(spec)
+    assert len(tasks) == 3 and all(fn is _chunk_sum for fn, _ in tasks)
+    r1 = eval_sum(spec, threads=1)
+    r2 = eval_sum(spec, threads=2)
+    assert r1 == r2
+    assert r1.terms_counted + r1.skipped == N
+
+
+@pytest.mark.parametrize(
+    "q, N_values, kernels",
+    [
+        ("5^20", [40, 3 * CHUNK, 20000], [_chunk_sum, _difference_sum, _difference_sum]),
+        ("3^40", [40, 2 * CHUNK + 5, 100], [_chunk_sum] * 3),
+    ],
+)
+def test_scan_rows_match_eval_sum_with_one_fan_out(monkeypatch, q, N_values, kernels):
+    q = FactoredInteger.parse(q)
+    assert [_plan(SumSpec(q, N, 7, 4, 17))[0][0] for N in N_values] == kernels
+    calls = []
+    real = klsum.parallel_map
+
+    def counting(fn, tasks, threads):
+        calls.append(len(tasks))
+        return real(fn, tasks, threads)
+
+    monkeypatch.setattr(klsum, "parallel_map", counting)
+    rows = scan(q, 7, 4, 17, N_values, threads=2)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for row, N in zip(rows, N_values):
+        res = eval_sum(SumSpec(q, N, 7, 4, 17), threads=2)
+        want = (res.value.re, res.value.im, res.terms_counted)
+        assert (row["re"], row["im"], row["terms"]) == want

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from kls.factored import FactoredInteger
@@ -203,3 +204,17 @@ def test_damping_factor_validation():
     q = FactoredInteger.parse("3^4")
     with pytest.raises(ValueError):
         damping_factor(q, FactoredInteger.from_value(1), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "alpha, P",
+    [(Fraction(1, 2**62 + 1), 300), (Fraction(2**61 + 12345, 2**62 + 135), 2000)],
+)
+def test_geometric_sum_fallback_within_err(alpha, P):
+    # B >= 2^62 leaves the int64 path; the fallback must still meet its err
+    s, bound, holds = geometric_sum_check(alpha, P)
+    A, B = alpha.numerator, alpha.denominator
+    with mpmath.workdps(40):
+        want = mpmath.fsum(mpmath.expjpi(mpmath.mpf(2 * (A * n % B)) / B) for n in range(1, P + 1))
+        assert abs(mpmath.mpc(s.re, s.im) - want) <= s.err
+    assert s.err == P * 2.0**-46 and holds
