@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -127,7 +128,9 @@ def _csv_table(header, rows) -> str:
 
 
 def _json_safe(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (float, str)):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, int):
         return str(obj) if abs(obj) > 2**53 else obj
@@ -140,10 +143,15 @@ def _json_safe(obj):
     return str(obj)
 
 
+def _json(obj) -> str:
+    """Strict JSON: non-finite floats print as null, and any that bypass `_json_safe` raise."""
+    return json.dumps(_json_safe(obj), indent=2, allow_nan=False) + "\n"
+
+
 def _render(payload, cfg: RunConfig) -> str:
     """One flat mapping as a one-row CSV table or a JSON object."""
     if cfg.output_format == "json":
-        return json.dumps(_json_safe(payload), indent=2) + "\n"
+        return _json(payload)
     keys = [k for k, v in payload.items() if not isinstance(v, dict)]
     return _csv_table(keys, [[payload[k] for k in keys]])
 
@@ -181,7 +189,7 @@ def _cmd_scan(args, cfg: RunConfig):
     _charge(sum(N_values), cfg, "total window length")
     rows = scan(q, args.a, args.b, args.c, N_values, threads=cfg.threads)
     if cfg.output_format == "json":
-        return 0, json.dumps(_json_safe(rows), indent=2) + "\n"
+        return 0, _json(rows)
     return 0, _csv_table(SCAN_FIELDS, [[row[k] for k in SCAN_FIELDS] for row in rows])
 
 
@@ -195,7 +203,7 @@ def _cmd_verify(args, cfg: RunConfig):
     )
     code = 0 if report["failures"] == 0 else 1
     if cfg.output_format == "json":
-        return code, json.dumps(_json_safe(report), indent=2) + "\n"
+        return code, _json(report)
     flat = {k: v for k, v in report.items() if not isinstance(v, (list, dict))}
     return code, _csv_table(list(flat), [list(flat.values())])
 

@@ -10,8 +10,9 @@ worst margin the suite observed.  The margin conventions are
 - lemma3: ``min_slack``, rhs - lhs;
 - lemma4: ``worst_log_margin``, ln(count) - ln(bound) (<= 0 expected),
   over a fixed 63-point (m, tau, P) grid that ``cases`` caps in grid
-  order; over-budget points are skipped and listed, and ``cases``
-  reports the points actually checked;
+  order; over-budget points are skipped and listed, ``cases`` reports
+  the points actually checked, and BudgetExceeded is raised when every
+  requested point is over budget;
 - w-identity: ``worst_abs_diff`` between the two evaluation paths, with a
   per-case row list; lhs/rhs are [re, im] pairs;
 - amplify: ``min_rel_margin``, (rhs - lhs)/rhs;
@@ -28,7 +29,7 @@ import random
 from fractions import Fraction
 
 from .bounds import amplified_bound
-from .errors import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .factored import FactoredInteger, kernel, unit_root
 from .klsum import SumSpec, eval_sum, shift_to_kernel
 from .postnikov import inverse_expansion, make_context, w_direct, w_poly, weyl_coefficients
@@ -175,6 +176,11 @@ def _suite_lemma4(seed, cases, budget, threads):
         checked += 1
         if not holds:
             failures += 1
+    if not checked:
+        cheapest = min(P ** (m * tau) for m, tau, P in skipped)
+        raise BudgetExceeded(
+            f"all {len(skipped)} requested lemma4 grid points exceed the budget", cheapest, budget
+        )
     return {
         "suite": "lemma4",
         "seed": seed,

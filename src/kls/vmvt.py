@@ -3,9 +3,23 @@
 A system instance asks how many 2k-tuples in [1,P]^2k have the first k
 and last k entries agreeing on all power sums up to degree m, offset by
 lambda.  Counting is meet-in-the-middle: one histogram of k-tuple power
-sums, then one pass matching s against s - lambda, so the cost is P^k
-rather than P^2k.  The histogram itself enumerates multisets (sorted
-tuples weighted by multinomial coefficients), far fewer than P^k entries.
+sums, then one lookup of s - lambda for every key s, so the cost is P^k
+rather than P^2k.
+
+Each power-sum vector (s_1..s_m) of a k-tuple is packed into one integer
+by mixed radix: digit j is s_j - k, which lies in [0, k(P^j - 1)], and
+its radix is 2k(P^j - 1) + 1.  Packing is additive with no carry, and
+since the radix exceeds every difference of two digits minus an offset
+with |lambda_j| <= k(P^j - 1), packed(s) - packed-shift(lambda) equals
+packed(s') exactly when s - lambda = s' componentwise.  The histogram is
+a sorted numpy array of packed keys with aligned counts, built from the
+P single-element keys by k - 1 rounds of (distinct keys x P) additions,
+each followed by a sort and a merge of equal keys; a count is then one
+binary search of every shifted key and a dot product of the matched
+counts.  Every count is exact: the arrays are int64 while the packed key
+span and P^2k stay below 2^62, and hold Python ints (object dtype) past
+that, through the same code.  Counting runs in the calling process; the
+``threads`` keyword is accepted and has no effect.
 
 The bound constant D(m,tau) reaches astronomical sizes (10^5 digits at
 the scales the estimates run at), so every bound quantity lives in log
@@ -16,10 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
-from ._pool import parallel_map
+import numpy as np
+
 from .errors import DEFAULT_BUDGET, BudgetExceeded
+
+# int64 holds packed keys, shifted keys and counts up to P^2k below this.
+_INT64_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -42,59 +59,75 @@ class VinogradovInstance:
         object.__setattr__(self, "lam", tuple(self.lam))
 
 
-@dataclass(frozen=True)
+def _pack(digits, radix: tuple[int, ...]) -> int:
+    """Mixed-radix value of `digits` (least significant first); any sign."""
+    value = 0
+    for d, r in zip(reversed(digits), reversed(radix)):
+        value = value * r + d
+    return value
+
+
+@dataclass(frozen=True, eq=False)
 class PowerSumHistogram:
-    """Power-sum vector -> number of ordered k-tuples in [1,P]^k attaining it."""
+    """Ordered k-tuples in [1,P]^k grouped by power-sum vector.
+
+    `keys` holds the distinct packed vectors in increasing order and
+    `counts` the number of tuples attaining each; `radix` is the mixed
+    radix of the packing (digit j is s_j - k).
+    """
 
     k: int
     m: int
     P: int
-    counts: dict[tuple[int, ...], int]
+    radix: tuple[int, ...]
+    keys: np.ndarray
+    counts: np.ndarray
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
+
+    def as_dict(self) -> dict[tuple[int, ...], int]:
+        """{power-sum vector: count}, unpacked to tuples of Python ints."""
+        out = {}
+        for key, count in zip(self.keys.tolist(), self.counts.tolist()):
+            vec = []
+            for r in self.radix:
+                key, digit = divmod(key, r)
+                vec.append(digit + self.k)
+            out[tuple(vec)] = count
+        return out
 
 
 _hist_cache: dict[tuple[int, int, int], PowerSumHistogram] = {}
 
 
-def _hist_slice(args: tuple[int, int, int, int]) -> dict[tuple[int, ...], int]:
-    """Histogram restricted to sorted tuples with smallest entry `first`."""
-    k, m, P, first = args
-    fact = [math.factorial(i) for i in range(k + 1)]
-    counts: dict[tuple[int, ...], int] = {}
-    for rest in combinations_with_replacement(range(first, P + 1), k - 1):
-        tup = (first, *rest)
-        weight = fact[k]
-        run = 1
-        for i in range(1, k):
-            if tup[i] == tup[i - 1]:
-                run += 1
-            else:
-                weight //= fact[run]
-                run = 1
-        weight //= fact[run]
-        key = tuple(sum(x**j for x in tup) for j in range(1, m + 1))
-        counts[key] = counts.get(key, 0) + weight
-    return counts
-
-
 def power_sum_histogram(k: int, m: int, P: int, threads: int = 1) -> PowerSumHistogram:
     """Build (or fetch) the ordered-tuple histogram; total is always P^k.
 
-    Construction splits on the smallest tuple entry; slice merge is map
-    union with addition, so any worker schedule gives identical results.
+    Round i adds every single-element key to every distinct key of the
+    (i-1)-tuples, sorts the sums and merges equal keys by integer
+    addition, so the result does not depend on any schedule.  `threads`
+    has no effect: the build runs in the calling process.
     """
     cached = _hist_cache.get((k, m, P))
     if cached is not None:
         return cached
-    tasks = [(k, m, P, first) for first in range(1, P + 1)]
-    slices = parallel_map(_hist_slice, tasks, threads)
-    counts: dict[tuple[int, ...], int] = {}
-    for part in slices:
-        for key, v in part.items():
-            counts[key] = counts.get(key, 0) + v
-    hist = PowerSumHistogram(k, m, P, counts)
+    radix = tuple(2 * k * (P**j - 1) + 1 for j in range(1, m + 1))
+    fits_int64 = max(math.prod(radix), P ** (2 * k)) < _INT64_LIMIT
+    dtype = np.int64 if fits_int64 else object
+    single = np.array(
+        [_pack([x**j - 1 for j in range(1, m + 1)], radix) for x in range(1, P + 1)],
+        dtype=dtype,
+    )
+    keys, counts = single, np.ones(P, dtype=dtype)
+    for _ in range(k - 1):
+        sums = (keys[:, None] + single[None, :]).ravel()
+        order = np.argsort(sums)
+        sums = sums[order]
+        weights = np.repeat(counts, P)[order]
+        starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1])))
+        keys, counts = sums[starts], np.add.reduceat(weights, starts)
+    hist = PowerSumHistogram(k, m, P, radix, keys, counts)
     assert hist.total() == P**k, "histogram lost mass; implementation bug"
     _hist_cache[(k, m, P)] = hist
     return hist
@@ -111,25 +144,30 @@ def _check_budget(k: int, P: int, budget: int) -> None:
 
 
 def j_count(inst: VinogradovInstance, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
-    """Exact number of solutions of the offset power-sum system."""
+    """Exact number of solutions of the offset power-sum system.
+
+    `threads` has no effect; counting runs in the calling process.
+    """
     k, m, P, lam = inst.k, inst.m, inst.P, inst.lam
     if any(abs(l) > k * (P**j - 1) for j, l in enumerate(lam, start=1)):
         return 0
     _check_budget(k, P, budget)
-    hist = power_sum_histogram(k, m, P, threads=threads).counts
-    total = 0
-    for key, v in hist.items():
-        w = hist.get(tuple(s - l for s, l in zip(key, lam)))
-        if w:
-            total += v * w
-    return total
+    hist = power_sum_histogram(k, m, P, threads=threads)
+    keys, counts = hist.keys, hist.counts
+    target = keys - _pack(lam, hist.radix)
+    idx = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+    hit = keys[idx] == target
+    return int(np.dot(counts[hit], counts[idx[hit]]))
 
 
 def j_count_zero(k: int, m: int, P: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
-    """Solution count with all offsets zero: sum of squared histogram counts."""
+    """Solution count with all offsets zero: sum of squared histogram counts.
+
+    `threads` has no effect; counting runs in the calling process.
+    """
     _check_budget(k, P, budget)
-    hist = power_sum_histogram(k, m, P, threads=threads).counts
-    return sum(v * v for v in hist.values())
+    counts = power_sum_histogram(k, m, P, threads=threads).counts
+    return int(np.dot(counts, counts))
 
 
 def lemma4_bound(m: int, tau: int, P: int) -> tuple[float, float, float]:
@@ -150,7 +188,10 @@ def lemma4_bound(m: int, tau: int, P: int) -> tuple[float, float, float]:
 def lemma4_check(
     m: int, tau: int, P: int, budget: int = DEFAULT_BUDGET, threads: int = 1
 ) -> tuple[int, float, bool]:
-    """Exact count at k = m*tau against its bound, compared in log space."""
+    """Exact count at k = m*tau against its bound, compared in log space.
+
+    `threads` has no effect; counting runs in the calling process.
+    """
     count = j_count_zero(m * tau, m, P, budget=budget, threads=threads)
     _, _, log_bound = lemma4_bound(m, tau, P)
     return count, log_bound, math.log(count) <= log_bound

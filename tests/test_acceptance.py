@@ -74,7 +74,7 @@ def _lambda_partition(k: int, m: int, P: int, rng: random.Random):
     """Sum of j_count over every achievable offset vector, plus how many
     offsets were checked through the public API (all of them when the
     key-cube work bound allows, a seeded sample of 100 otherwise)."""
-    hist = power_sum_histogram(k, m, P).counts
+    hist = power_sum_histogram(k, m, P).as_dict()
     keys = list(hist)
     grouped: dict[tuple[int, ...], int] = {}
     for s in keys:

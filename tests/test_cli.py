@@ -197,6 +197,60 @@ def test_verify_lemma4_cases_caps_grid(capsys):
     assert report["cases"] == 5 and report["skipped"] == 0
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_lemma4_all_over_budget_exit3(capsys):
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "verify", "lemma4", "--budget", "1", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_json_is_strict(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--cases", "3", "--budget", "10000",
+                       "--format", "json")
+    assert code == 0
+    assert _strict_json(out)["cases"] >= 1
+
+
+def test_json_maps_non_finite_floats_to_null(capsys, monkeypatch):
+    def rigged(seed, cases, budget, threads):
+        return {"suite": "rigged", "failures": 0, "margins": [float("-inf"), float("nan"), 1.5]}
+
+    monkeypatch.setitem(SUITES, "rigged", rigged)
+    code, out, _ = run(capsys, "verify", "rigged", "--format", "json")
+    assert code == 0
+    assert _strict_json(out)["margins"] == [None, None, 1.5]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jcount", "--k", "3", "--m", "2", "--P", "9", "--lambda", "2,12"],
+        ["jcount", "--k", "2", "--m", "3", "--P", "40", "--format", "json"],
+        ["verify", "lemma4", "--format", "json"],
+        ["verify", "lemma4"],
+    ],
+)
+def test_counting_output_identical_across_threads(capsys, argv):
+    from kls import vmvt
+
+    outs = []
+    for threads in ("1", "2"):
+        vmvt._hist_cache.clear()  # build every histogram again at this thread count
+        code, out, _ = run(capsys, *argv, "--threads", threads)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_err_grows_as_precision_drops(capsys):
     base = ["eval", "--q", "3^2", "--N", "8", "--a", "1", "--format", "json"]
     errs = [json.loads(run(capsys, *base, "--precision", bits)[1])["err"] for bits in ("40", "53")]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kls.errors import NotCoprime
 from kls.factored import (
@@ -57,6 +59,20 @@ def test_parse_roundtrip():
         n = FactoredInteger.from_factors(pairs)
         assert FactoredInteger.parse(str(n)) == n
         assert FactoredInteger.from_value(n.value) == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([2, 3, 5, 7, 13, 101, 65537, 2**31 - 1, 2**61 - 1]),
+        st.integers(2, 60),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_parse_round_trips_powerful_factorizations(exponents):
+    q = FactoredInteger.from_factors(exponents.items())
+    assert FactoredInteger.parse(str(q)) == q
 
 
 def test_parse_plain_integer():

@@ -138,6 +138,28 @@ def test_shift_inequality_random():
         assert 2 * t <= 2 * d
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    exponents=st.dictionaries(
+        st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(2, 9), min_size=1, max_size=3
+    ),
+    N=st.integers(1, 2000),
+    c=st.integers(-(10**12), 10**12),
+    seed=st.integers(0, 2**32),
+)
+def test_shift_to_kernel_moves_sum_by_at_most_twice_shift(exponents, N, c, seed):
+    q = FactoredInteger.from_factors(exponents.items())
+    rng = random.Random(seed)
+    a = rng.randrange(1, q.value)
+    while math.gcd(a, q.value) != 1:
+        a = rng.randrange(1, q.value)
+    spec = SumSpec(q, N, a, rng.randrange(q.value), c)
+    shifted, shift = shift_to_kernel(spec)
+    assert 0 <= shift < kernel(q).value
+    z0, z1 = eval_sum(spec).value, eval_sum(shifted).value
+    assert abs(z0.as_complex() - z1.as_complex()) <= 2 * shift + z0.err + z1.err
+
+
 def test_scan_rows():
     q = FactoredInteger.from_value(9)
     rows = scan(q, 1, 0, 0, [2, 4, 8])

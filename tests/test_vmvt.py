@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kls import _pool, vmvt
 from kls.errors import BudgetExceeded
 from kls.vmvt import (
     VinogradovInstance,
@@ -24,14 +29,18 @@ def test_histogram_total_mass():
         assert hist.total() == P**k
 
 
-def test_histogram_threads_identical():
-    h1 = power_sum_histogram(3, 2, 5).counts
-    # bypass the cache to force a threaded rebuild
-    from kls import vmvt
-
+def test_histogram_threads_identical(monkeypatch):
+    h1 = power_sum_histogram(3, 2, 5)
+    # bypass the cache to force a threaded rebuild, which must start no pool
     vmvt._hist_cache.pop((3, 2, 5))
-    h2 = power_sum_histogram(3, 2, 5, threads=2).counts
-    assert h1 == h2
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("counting started a process pool")
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", no_pool)
+    h2 = power_sum_histogram(3, 2, 5, threads=2)
+    assert np.array_equal(h1.keys, h2.keys) and np.array_equal(h1.counts, h2.counts)
+    assert h1.as_dict() == h2.as_dict()
 
 
 def test_j_count_frozen_cases():
@@ -54,6 +63,70 @@ def test_j_count_matches_naive_oracle():
         assert j_count(inst) == naive_j_count(k, m, P, lam)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 2),
+    m=st.integers(1, 3),
+    P=st.integers(1, 4),
+    lam=st.lists(st.integers(-80, 80), min_size=3, max_size=3),
+)
+def test_j_count_equals_naive_property(k, m, P, lam):
+    # offsets reach well past k*(P^j - 1), the range where counts can be nonzero
+    lam = lam[:m]
+    assert j_count(VinogradovInstance(k, m, P, tuple(lam))) == naive_j_count(k, m, P, lam)
+
+
+@pytest.mark.parametrize("k, m, P", [(1, 2, 3), (2, 2, 2), (1, 3, 2)])
+def test_j_count_exhaustive_offsets(k, m, P):
+    # every offset up to twice the attainable range: packed-key false matches
+    # (too small a radix, or a missing range check) show up at these edges
+    ranges = [range(-2 * k * P**j, 2 * k * P**j + 1) for j in range(1, m + 1)]
+    for lam in itertools.product(*ranges):
+        assert j_count(VinogradovInstance(k, m, P, lam)) == naive_j_count(k, m, P, list(lam))
+
+
+def _power_sums(tup, m):
+    return tuple(sum(x**j for x in tup) for j in range(1, m + 1))
+
+
+def _dict_histogram(k, m, P):
+    """{power-sum vector: number of ordered k-tuples}, by plain enumeration."""
+    hist = {}
+    for tup in itertools.product(range(1, P + 1), repeat=k):
+        key = _power_sums(tup, m)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def _dict_j_count(hist, lam):
+    """Meet-in-the-middle over a dict of tuples: sum of H[s] * H[s - lam]."""
+    return sum(v * hist.get(tuple(a - b for a, b in zip(s, lam)), 0) for s, v in hist.items())
+
+
+@pytest.mark.parametrize("k, m, P", [(2, 7, 60), (3, 6, 30)])
+def test_object_dtype_route_matches_dict_reference(k, m, P):
+    hist = power_sum_histogram(k, m, P)
+    assert hist.keys.dtype == object  # packed keys or P^2k pass 2^62
+    ref = _dict_histogram(k, m, P)
+    assert hist.as_dict() == ref
+    assert j_count_zero(k, m, P) == _dict_j_count(ref, (0,) * m)
+    rng = random.Random(k * 100 + m)
+    keys = list(ref)
+    for _ in range(10):
+        s, t = rng.choice(keys), rng.choice(keys)
+        lam = tuple(a - b for a, b in zip(s, t))
+        assert j_count(VinogradovInstance(k, m, P, lam)) == _dict_j_count(ref, lam)
+
+
+@pytest.mark.parametrize("k, m, P", [(1, 3, 7), (2, 2, 5), (3, 3, 4), (4, 2, 3)])
+def test_as_dict_round_trip(k, m, P):
+    hist = power_sum_histogram(k, m, P)
+    d = hist.as_dict()
+    assert sum(d.values()) == P**k
+    assert len(d) == len(hist.counts)
+    assert d == _dict_histogram(k, m, P)
+
+
 def test_j_count_symmetry_and_dominance():
     rng = random.Random(67)
     for _ in range(50):
@@ -74,7 +147,7 @@ def test_j_count_zero_out_of_range():
 
 def test_sum_over_lambda_is_total_squared():
     for k, m, P in [(1, 1, 6), (2, 2, 3), (2, 1, 4), (3, 3, 3)]:
-        hist = power_sum_histogram(k, m, P).counts
+        hist = power_sum_histogram(k, m, P).as_dict()
         lams = {tuple(a - b for a, b in zip(s, t)) for s in hist for t in hist}
         total = sum(j_count(VinogradovInstance(k, m, P, lam)) for lam in lams)
         assert total == P ** (2 * k)
