@@ -1,4 +1,7 @@
-"""The one process-pool fan-out shared by the chunked computations."""
+"""The one process-pool fan-out, used by klsum's eval_sum and scan.
+
+Counting (vmvt) and the amplified bound (bounds) run in one process.
+"""
 
 from __future__ import annotations
 

@@ -13,6 +13,10 @@ ln N / ln q is rational, which is decidable from q's factorization, the
 whole calculation is rational arithmetic; otherwise integer power
 comparisons settle each floor, with a high-precision screen so the big
 integers are only materialized on near-ties.  All logarithms natural.
+
+amplified_bound checks the smoothing inequality
+|S| <= h^-2 sum_n |W(n)| + h^2 q_eps, gathering every |W(n)| of a block
+from one table of the klsum summand; it runs in the calling process.
 """
 
 from __future__ import annotations
@@ -22,17 +26,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from ._pool import parallel_map
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DeltaOutOfRange
 from .factored import FactoredInteger, kernel
-from .klsum import SumSpec, eval_sum
-from .postnikov import make_context, w_direct
+from .klsum import SumSpec, _phases, _unit_points, eval_sum
+from .postnikov import _product_counts, make_context
 
 GAMMA_T1 = 160.0**-4
 GAMMA1_T1 = 900.0
 
-_N_CHUNK = 4096
+# Gathered entries (bases x distinct products) per block of the |W| table.
+_TABLE = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -280,16 +285,44 @@ def holder_constant(k: int, m: int) -> float:
     return value
 
 
-def _w_abs_chunk(args: tuple) -> float:
-    """Sum of |W(n)| over coprime n in (n_lo, n_hi]."""
-    spec, eps, h, n_lo, n_hi = args
-    ctx = make_context(spec.q, eps)
-    d = kernel(spec.q).value
-    return math.fsum(
-        w_direct(n, spec, ctx, h).abs_value()
-        for n in range(n_lo + 1, n_hi + 1)
-        if math.gcd(n + spec.c, d) == 1
-    )
+def _abs_w_sum(spec: SumSpec, qe: int, h: int) -> float:
+    """Sum of |W(n)| over n in [1, N] with n + c coprime to q.
+
+    W(n) e_q(-b(n+c)) = sum_u tau_h(u) g(n + c + qe u) with
+    g(m) = e_q(a m* + b m), the klsum summand, so |W(n)| is a
+    tau-weighted gather from one table of g.  Bases n + c (mod q) go in
+    blocks of _TABLE // (distinct u) window positions and the products u
+    in slices of at most _TABLE, so a block gathers at most _TABLE
+    entries whatever q_eps h^2 is.  The block's distinct positions mod q
+    (all coprime, since d | qe) get exact arguments from one batched
+    inversion; the |W| are summed with math.fsum per block and across
+    blocks.
+    """
+    q, d = spec.q.value, kernel(spec.q).value
+    us, taus = zip(*_product_counts(h))
+    dtype = np.int64 if q < 2**62 else object  # a base plus an offset stays below 2q
+    offsets = np.array([qe * u % q for u in us], dtype=dtype)
+    tau = np.array(taus, dtype=np.float64)
+    cols = min(len(us), _TABLE)
+    rows = _TABLE // cols
+    end = spec.c + spec.N + 1
+    sums = []
+    for lo in range(spec.c + 1, end, rows):
+        bases = [m % q for m in range(lo, min(lo + rows, end)) if math.gcd(m, d) == 1]
+        if not bases:
+            continue
+        column = np.array(bases, dtype=dtype)[:, None]
+        re = np.zeros(len(bases))
+        im = np.zeros(len(bases))
+        for j in range(0, len(us), cols):
+            pos = (column + offsets[None, j : j + cols]) % q
+            table, where = np.unique(pos.ravel(), return_inverse=True)
+            cos, sin = _unit_points(q, _phases(q, spec.a, spec.b, table.tolist()))
+            where = where.reshape(pos.shape)
+            re += (cos[where] * tau[j : j + cols]).sum(axis=1)
+            im += (sin[where] * tau[j : j + cols]).sum(axis=1)
+        sums.append(math.fsum(np.hypot(re, im).tolist()))
+    return math.fsum(sums)
 
 
 def amplified_bound(
@@ -303,10 +336,15 @@ def amplified_bound(
 
     Requires the window start to be kernel-aligned (c = 0 mod d).  Returns
     (rhs, lhs, holds) with lhs = |eval_sum(spec)| and a relative tolerance
-    of 1e-6 on the comparison.  The n-loop runs in fixed-size chunks whose
-    partial sums are combined with math.fsum, so any thread count gives
-    one answer.
+    of 1e-6 on the comparison.  The |W(n)| come from one table of the
+    klsum summand over the distinct positions n + c + q_eps u of each
+    block, with at most 2^21 gathered entries per block (see _abs_w_sum),
+    so memory does not grow with q_eps h^2.  Everything runs in the
+    calling process; ``threads`` is accepted for compatibility and has no
+    effect.
     """
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
     d = kernel(spec.q).value
     if spec.c % d != 0:
         raise ValueError("window start must be a multiple of the kernel; shift first")
@@ -318,10 +356,8 @@ def amplified_bound(
             estimated_cost=cost,
             budget=budget,
         )
-    edges = list(range(0, spec.N, _N_CHUNK)) + [spec.N]
-    tasks = [(spec, eps, h, e0, e1) for e0, e1 in zip(edges, edges[1:])]
-    total = math.fsum(parallel_map(_w_abs_chunk, tasks, threads))
-    rhs = total / (h * h) + h * h * ctx.q_eps.value
+    qe = ctx.q_eps.value
+    rhs = _abs_w_sum(spec, qe, h) / (h * h) + h * h * qe
     lhs = eval_sum(spec).value.abs_value()
     return rhs, lhs, lhs <= rhs + 1e-6 * rhs
 

@@ -123,6 +123,17 @@ def _phases(q: int, a: int, b: int, ns: list[int]) -> list[int]:
     return args
 
 
+def _unit_points(q: int, args: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi v / q for each exact argument v in [0, q).
+
+    v / q is the correctly rounded quotient of the two integers, so any q
+    works; the angle is then one float product.
+    """
+    th = np.fromiter((v / q for v in args), dtype=np.float64, count=len(args))
+    th *= 2.0 * math.pi
+    return np.cos(th), np.sin(th)
+
+
 def _chunk_sum(task: tuple[int, int, int, int, int, int]) -> tuple[float, float, int, int]:
     """Batch kernel: partial sum of task (q, d, a, b, lo, hi) over (lo, hi].
 
@@ -134,9 +145,8 @@ def _chunk_sum(task: tuple[int, int, int, int, int, int]) -> tuple[float, float,
     skipped = (hi - lo) - len(ns)
     if not ns:
         return 0.0, 0.0, 0, skipped
-    th = np.fromiter((v / q for v in _phases(q, a, b, ns)), dtype=np.float64, count=len(ns))
-    th *= 2.0 * math.pi
-    return float(np.cos(th).sum()), float(np.sin(th).sum()), len(ns), skipped
+    cos, sin = _unit_points(q, _phases(q, a, b, ns))
+    return float(cos.sum()), float(sin.sum()), len(ns), skipped
 
 
 def _difference_table(q: int, a: int, b: int, ns: list[int], s: int, m: int) -> np.ndarray:

@@ -15,7 +15,14 @@ worst margin the suite observed.  The margin conventions are
   requested point is over budget;
 - w-identity: ``worst_abs_diff`` between the two evaluation paths, with a
   per-case row list; lhs/rhs are [re, im] pairs;
-- amplify: ``min_rel_margin``, (rhs - lhs)/rhs;
+- amplify: ``min_rel_margin``, (rhs - lhs)/rhs, and ``nontrivial_cases``,
+  the rows whose rhs is below their coprime-term count ``terms`` (the
+  triangle-inequality bound).  Case 0 is q = 2^40, eps = 1/5, h = 8,
+  N = 10^5, which is nontrivial; the others are desk moduli, where
+  h^2 q_eps > N.  A report with no nontrivial row counts as a failure,
+  since none of its inequalities could have failed, unless a case was
+  skipped; over-budget cases are skipped and listed as for lemma4, and
+  ``cases`` counts the rows checked;
 - shift: ``worst_excess``, |S - S'| minus the 2*shift + rounding allowance.
 
 ``failures`` counts cases outside tolerance; the command line maps any
@@ -50,6 +57,10 @@ _PRIME_POOL = (
 )
 
 _DESK_MODULI = ("3^6", "2^4*3^4", "5^5", "2^10")
+
+# h^2 q_eps = 64 * 512 is below the 5 * 10^4 coprime terms, so the
+# amplified inequality says more than the triangle inequality here.
+_NONTRIVIAL_AMPLIFY = (FactoredInteger.parse("2^40"), Fraction(1, 5), 10**5, 8)
 
 
 def _random_modulus(rng, max_primes, max_exp, max_value, min_exp=1):
@@ -237,24 +248,36 @@ def _suite_w_identity(seed, cases, budget, threads):
     }
 
 
+def _amplify_specs(cases):
+    """(q, eps, N, h) per row: the nontrivial spec, then the desk moduli in turn."""
+    moduli = [FactoredInteger.parse(s) for s in _DESK_MODULI]
+    eps_list = (Fraction(1, 3), Fraction(1, 2))
+    yield _NONTRIVIAL_AMPLIFY
+    for i in range(cases - 1):
+        q = moduli[i % len(moduli)]
+        N = math.isqrt(q.value)
+        yield q, eps_list[(i // len(moduli)) % len(eps_list)], N, math.isqrt(math.isqrt(N)) + 1
+
+
 def _suite_amplify(seed, cases, budget, threads):
     cases = 20 if cases is None else cases
     rng = random.Random(seed)
-    moduli = [FactoredInteger.parse(s) for s in _DESK_MODULI]
-    eps_list = (Fraction(1, 3), Fraction(1, 2))
     rows = []
+    skipped = []
     failures = 0
     min_margin = math.inf
-    for i in range(cases):
-        q = moduli[i % len(moduli)]
-        eps = eps_list[(i // len(moduli)) % len(eps_list)]
+    for q, eps, N, h in _amplify_specs(cases):
         qv = q.value
-        N = math.isqrt(qv)
-        h = math.isqrt(math.isqrt(N)) + 1
+        d = kernel(q).value
         a = _random_coprime(rng, 1, qv, qv)
         b = rng.randrange(qv)
         spec = SumSpec(q=q, N=N, a=a, b=b, c=0)
-        rhs, lhs, holds = amplified_bound(spec, eps, h, budget=budget, threads=threads)
+        try:
+            rhs, lhs, holds = amplified_bound(spec, eps, h, budget=budget, threads=threads)
+        except BudgetExceeded as exc:
+            skipped.append(([str(q), str(eps), N, h], exc.estimated_cost))
+            continue
+        terms = sum(1 for n in range(1, N + 1) if math.gcd(n, d) == 1)
         min_margin = min(min_margin, (rhs - lhs) / rhs)
         if not holds:
             failures += 1
@@ -268,15 +291,30 @@ def _suite_amplify(seed, cases, budget, threads):
                 "b": b,
                 "lhs": lhs,
                 "rhs": rhs,
+                "terms": terms,
                 "holds": holds,
+                # below the triangle-inequality bound, so the row could have failed
+                "nontrivial": rhs < terms,
             }
         )
+    if not rows:
+        raise BudgetExceeded(
+            f"all {len(skipped)} requested amplify cases exceed the budget",
+            min(cost for _, cost in skipped),
+            budget,
+        )
+    nontrivial = sum(row["nontrivial"] for row in rows)
+    if not nontrivial and not skipped:
+        failures += 1
     return {
         "suite": "amplify",
         "seed": seed,
-        "cases": cases,
+        "cases": len(rows),
         "failures": failures,
         "min_rel_margin": min_margin,
+        "nontrivial_cases": nontrivial,
+        "skipped": len(skipped),
+        "skipped_cases": [case for case, _ in skipped],
         "rows": rows,
     }
 

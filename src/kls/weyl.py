@@ -6,6 +6,12 @@ violations with no rounding slack on the deciding comparisons: distance
 to the nearest integer is exact rational arithmetic whenever the input
 is rational, and every min() decision is made by integer cross
 multiplication.  All logarithms are natural.
+
+lemma3_check and v_r_sum step the residues (C + A n) mod B as numpy
+arrays: int64 while every product fits in 63 bits and B < 2^53, Python
+integers (dtype=object) through the same code otherwise.  Either way the
+terms are the floats a term-by-term loop would produce, summed with
+math.fsum, so the results do not depend on the route.
 """
 
 from __future__ import annotations
@@ -116,6 +122,29 @@ def rational_approx(alpha, Q_max: int) -> RationalApproximation:
     return RationalApproximation(A, Q, theta)
 
 
+def _min_terms(A: int, B: int, C: int, P: int, U) -> list[float]:
+    """[min(U, 1/dist((A n + C)/B)) for n in 1..P], for 0 <= A, C < B.
+
+    r = (C + A n) mod B and k = min(r, B - r) give dist = k/B exactly, and
+    U <= B/k is decided as un k <= B ud with U = un/ud; a term is U, or
+    B/k as a correctly rounded float quotient.  The arrays are int64 when
+    B < 2^53 (so B and k convert to floats exactly and their float
+    quotient is the correctly rounded one), C + A P < 2^63 and
+    un B, B ud < 2^63; otherwise they hold Python integers (dtype=object)
+    and the same code runs on them.
+    """
+    ufr = Fraction(U)
+    un, ud = ufr.numerator, ufr.denominator
+    small = B < 2**53 and C + A * P < 2**63 and un * B < 2**63 and B * ud < 2**63
+    n = np.arange(1, P + 1, dtype=np.int64)
+    if not small:
+        n = n.astype(object)
+    r = (C + A * n) % B
+    k = np.minimum(r, B - r)
+    saturated = (k == 0) | (un * k <= B * ud)
+    return np.where(saturated, float(U), B / np.where(saturated, 1, k)).tolist()
+
+
 def lemma3_check(
     alpha, beta, U: float, P: int, approx: RationalApproximation
 ) -> tuple[float, float, bool]:
@@ -131,18 +160,7 @@ def lemma3_check(
     B = math.lcm(afr.denominator, bfr.denominator)
     A = afr.numerator * (B // afr.denominator) % B
     C = bfr.numerator * (B // bfr.denominator) % B
-    ufr = Fraction(U)
-    un, ud = ufr.numerator, ufr.denominator
-
-    def terms():
-        r = C
-        for _ in range(P):
-            r = (r + A) % B
-            k = r if 2 * r <= B else B - r
-            # term = min(U, B/k); U <= B/k  iff  un*k <= B*ud
-            yield U if k == 0 or un * k <= B * ud else B / k
-
-    lhs = math.fsum(terms())
+    lhs = math.fsum(_min_terms(A, B, C, P, U))
     Q = approx.Q
     rhs = 6.0 * (P / Q + 1.0) * (U + Q * math.log(Q))
     return lhs, rhs, lhs <= rhs
@@ -171,7 +189,7 @@ def v_r_sum(alpha: Fraction, Lambda: int) -> float:
 
     The damping construction bounds this by (2*Lambda)^2 * delta_r when
     delta_r is built from the exact reduced denominator of alpha; the
-    trivial bound is (2*Lambda)^2.  Exact residue stepping as in
+    trivial bound is (2*Lambda)^2.  The same exact residue terms as
     lemma3_check; symmetric terms are folded.
     """
     if Lambda < 1:
@@ -180,13 +198,5 @@ def v_r_sum(alpha: Fraction, Lambda: int) -> float:
     B = alpha.denominator
     A = alpha.numerator % B
     U = 2 * Lambda
-
-    def terms():
-        yield U  # mu = 0 term: dist 0, min saturates at U
-        r = 0
-        for _ in range(Lambda - 1):
-            r = (r + A) % B
-            k = r if 2 * r <= B else B - r
-            yield 2 * (U if k == 0 or U * k <= B else B / k)  # mu and -mu agree
-
-    return math.fsum(terms())
+    # mu = 0 has dist 0, so its min saturates at U; mu and -mu agree
+    return math.fsum([U] + [2 * t for t in _min_terms(A, B, 0, Lambda - 1, U)])

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from kls import _pool, bounds
 from kls.errors import BudgetExceeded, DeltaOutOfRange
-from kls.factored import FactoredInteger
+from kls.factored import FactoredInteger, kernel, per_term_bound
 from kls.klsum import SumSpec, eval_sum, shift_to_kernel
+from kls.postnikov import make_context, w_direct
 from kls.bounds import (
     GAMMA_T1,
     amplified_bound,
@@ -217,16 +219,59 @@ def test_amplified_bound_budget():
         amplified_bound(spec, Fraction(1, 2), 3, budget=10)
 
 
-def test_amplified_bound_threads_identical():
+def test_amplified_bound_threads_identical(monkeypatch):
     q = FactoredInteger.parse("2^10")
     spec = SumSpec(q, 32, 5, 3, 0)
     r1 = amplified_bound(spec, Fraction(1, 3), 3, threads=1)
-    # chunk size exceeds N here, so force multiple chunks via larger N
     spec2 = SumSpec(q, 9000, 5, 3, 0)
     a = amplified_bound(spec2, Fraction(1, 3), 2, threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("amplified_bound started a process pool")
+
+    # the threaded call must run in this process and give the same answer
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", no_pool)
     b = amplified_bound(spec2, Fraction(1, 3), 2, threads=2)
     assert a == b
     assert r1[2]
+
+
+def _amplified_rhs_reference(spec, eps, h):
+    """h^-2 sum |w_direct(n)| + h^2 q_eps over the coprime window, and the term count."""
+    ctx = make_context(spec.q, eps)
+    d = kernel(spec.q).value
+    ws = [
+        w_direct(n, spec, ctx, h).abs_value()
+        for n in range(1, spec.N + 1)
+        if math.gcd(n + spec.c, d) == 1
+    ]
+    return math.fsum(ws) / (h * h) + h * h * ctx.q_eps.value, len(ws)
+
+
+# table caps the gathered entries per block: 64 splits the window into
+# several blocks; 16 is below the 30 distinct products of h = 8, so each
+# block holds one base and the products are sliced, q_eps h^2 = 32768
+# being far larger than one block.
+@pytest.mark.parametrize(
+    "q, eps, h, N, a, b, c, table",
+    [
+        ("2^10", Fraction(1, 3), 3, 300, 5, 3, 0, 64),
+        ("3^8", Fraction(1, 2), 4, 200, 2, 7, -3 * 10**9, None),
+        ("2^6*5^4", Fraction(1, 3), 5, 250, 7, 11, -10 * 1234, None),
+        ("2^30*3^21", Fraction(1, 10), 3, 150, 5, 7, -6 * 10**20, 64),
+        ("2^40", Fraction(1, 5), 8, 120, 12345, 678, 2 * 10**12, 16),
+    ],
+    ids=["blocks", "negative-c", "two-primes", "q-above-2^62", "sliced-products"],
+)
+def test_amplified_bound_matches_w_direct(monkeypatch, q, eps, h, N, a, b, c, table):
+    if table is not None:
+        monkeypatch.setattr(bounds, "_TABLE", table)
+    spec = SumSpec(FactoredInteger.parse(q), N, a, b, c)
+    rhs, lhs, holds = amplified_bound(spec, eps, h)
+    want, count = _amplified_rhs_reference(spec, eps, h)
+    assert abs(rhs - want) <= count * 2 * per_term_bound() + 1e-12 * want
+    assert lhs == eval_sum(spec).value.abs_value()
+    assert holds == (lhs <= rhs + 1e-6 * rhs)
 
 
 def test_regime_report_concrete():

@@ -212,6 +212,13 @@ def test_verify_lemma4_all_over_budget_exit3(capsys):
         assert err.startswith("error:") and "budget" in err and "Traceback" not in err
 
 
+def test_verify_amplify_all_over_budget_exit3(capsys):
+    code, out, err = run(capsys, "verify", "amplify", "--cases", "3", "--budget", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_json_is_strict(capsys, suite):
     code, out, _ = run(capsys, "verify", suite, "--cases", "3", "--budget", "10000",
@@ -249,6 +256,17 @@ def test_counting_output_identical_across_threads(capsys, argv):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_verify_amplify_identical_across_threads_and_nontrivial(capsys):
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "amplify", "--cases", "3", "--format", "json",
+                           "--threads", threads)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["nontrivial_cases"] >= 1
 
 
 def test_err_grows_as_precision_drops(capsys):

@@ -1,7 +1,11 @@
 """Suite-runner behavior: zero failures on healthy code, seed determinism."""
 
+from fractions import Fraction
+
 import pytest
 
+from kls import verify
+from kls.factored import FactoredInteger
 from kls.verify import SUITES, run_suite
 
 
@@ -71,8 +75,22 @@ def test_amplify_all_combos():
     rep = run_suite("amplify", seed=5, cases=8)
     assert rep["failures"] == 0
     assert rep["min_rel_margin"] > 0.0
-    assert {r["q"] for r in rep["rows"]} == {"3^6", "2^4*3^4", "5^5", "2^10"}
-    assert {r["eps"] for r in rep["rows"]} == {"1/3", "1/2"}
+    assert {r["q"] for r in rep["rows"]} == {"2^40", "3^6", "2^4*3^4", "5^5", "2^10"}
+    assert {r["eps"] for r in rep["rows"]} == {"1/5", "1/3", "1/2"}
+
+
+def test_amplify_fails_without_a_nontrivial_row(monkeypatch):
+    rep = run_suite("amplify", seed=5, cases=1)
+    row = rep["rows"][0]
+    assert row["q"] == "2^40" and row["terms"] == 50000
+    assert row["nontrivial"] and row["lhs"] <= row["rhs"] < row["terms"]
+    assert rep["nontrivial_cases"] == 1 and rep["failures"] == 0
+    # with only trivial rows every inequality holds by the triangle inequality
+    desk = (FactoredInteger.parse("3^6"), Fraction(1, 3), 27, 3)
+    monkeypatch.setattr(verify, "_NONTRIVIAL_AMPLIFY", desk)
+    rep = run_suite("amplify", seed=5, cases=4)
+    assert not any(r["nontrivial"] for r in rep["rows"])
+    assert rep["nontrivial_cases"] == 0 and rep["failures"] == 1
 
 
 def test_shift_small():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kls.factored import FactoredInteger
 from kls.weyl import (
@@ -144,6 +146,90 @@ def test_lemma3_inequality_random():
         approx = rational_approx(alpha, rng.randrange(max(1, P // 2), 10**4))
         lhs, rhs, holds = lemma3_check(alpha, beta, U, P, approx)
         assert holds, (alpha, beta, U, P, approx)
+
+
+def _lemma3_lhs_reference(alpha, beta, U, P):
+    """lemma3_check's lhs as one residue step per term, summed with fsum."""
+    afr, bfr = Fraction(alpha), Fraction(beta)
+    B = math.lcm(afr.denominator, bfr.denominator)
+    A = afr.numerator * (B // afr.denominator) % B
+    C = bfr.numerator * (B // bfr.denominator) % B
+    ufr = Fraction(U)
+    un, ud = ufr.numerator, ufr.denominator
+
+    def terms():
+        r = C
+        for _ in range(P):
+            r = (r + A) % B
+            k = r if 2 * r <= B else B - r
+            yield U if k == 0 or un * k <= B * ud else B / k
+
+    return math.fsum(terms())
+
+
+def _v_r_sum_reference(alpha, Lambda):
+    alpha = Fraction(alpha)
+    B = alpha.denominator
+    A = alpha.numerator % B
+    U = 2 * Lambda
+
+    def terms():
+        yield U
+        r = 0
+        for _ in range(Lambda - 1):
+            r = (r + A) % B
+            k = r if 2 * r <= B else B - r
+            yield 2 * (U if k == 0 or U * k <= B else B / k)
+
+    return math.fsum(terms())
+
+
+def _assert_lemma3_matches_reference(alpha, beta, U, P):
+    approx = rational_approx(alpha, 100)
+    lhs, rhs, holds = lemma3_check(alpha, beta, U, P, approx)
+    want = _lemma3_lhs_reference(alpha, beta, U, P)
+    assert lhs == want, (alpha, beta, U, P, lhs, want)
+    assert holds == (lhs <= rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.sampled_from([8, 30, 52, 53, 54, 63, 64, 90]),
+    a=st.integers(0, 2**90),
+    den=st.integers(1, 2**90),
+    beta=st.fractions(max_denominator=2**40),
+    U=st.one_of(st.integers(1, 2**62), st.floats(1e-3, 1e6)),
+    P=st.integers(1, 400),
+)
+def test_lemma3_and_v_r_sum_equal_reference_property(bits, a, den, beta, U, P):
+    alpha = Fraction(a, den % 2**bits + 1)
+    _assert_lemma3_matches_reference(alpha, beta, U, P)
+    assert v_r_sum(alpha, P) == _v_r_sum_reference(alpha, P)
+
+
+# Each pair straddles one bound of the int64 route (B < 2^53, C + A P < 2^63,
+# un B < 2^63, B ud < 2^63): the first case stays inside, the second does not.
+@pytest.mark.parametrize(
+    "alpha, beta, U, P",
+    [
+        # a single term B/k, which float(B)/k would round differently above 2^53
+        (Fraction(3002399751580331, 2**53 - 1), Fraction(0), 7, 1),
+        (Fraction(3002399751580333, 2**53 + 1), Fraction(0), 7, 1),
+        (Fraction(2**52 + 12345, 2**53 - 1), Fraction(0), 7, 300),
+        (Fraction(2**52 + 12345, 2**53 + 1), Fraction(0), 7, 300),
+        # 8309 A < 2^63 <= 8310 A, and every term B/k < 7 < U
+        (Fraction(1110000000000013, 3 * 10**15 + 7), Fraction(0), 1000, 8309),
+        (Fraction(1110000000000013, 3 * 10**15 + 7), Fraction(0), 1000, 8310),
+        (Fraction(2**51 + 1, 2**51 + 3), Fraction(1, 2**51 + 3), 2**11, 50),
+        (Fraction(2**51 + 1, 2**51 + 3), Fraction(1, 2**51 + 3), 2**12, 50),
+        (Fraction(3, 2**40 + 1), Fraction(-5, 7), 0.375, 500),
+        (Fraction(3, 2**40 + 1), Fraction(-5, 7), 0.1, 500),
+        (Fraction(1, 2), Fraction(1, 3), 2**70 + 1, 20),
+    ],
+)
+def test_lemma3_and_v_r_sum_equal_reference_across_int64_guard(alpha, beta, U, P):
+    _assert_lemma3_matches_reference(alpha, beta, U, P)
+    assert v_r_sum(alpha, P + 1) == _v_r_sum_reference(alpha, P + 1)
 
 
 def test_damping_factor_cases():
