@@ -33,7 +33,6 @@ from .factored import (
     mod_inverse,
     per_term_bound,
     q_epsilon,
-    unit_root,
 )
 from .klsum import SumResult, SumSpec, eval_sum, scan, shift_to_kernel
 from .postnikov import (
@@ -117,7 +116,6 @@ __all__ = [
     "shift_to_kernel",
     "theorem1_bound",
     "theorem2_bound",
-    "unit_root",
     "v_r_sum",
     "w_direct",
     "w_poly",

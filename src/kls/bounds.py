@@ -299,10 +299,9 @@ def _abs_w_sum(spec: SumSpec, qe: int, h: int) -> float:
     blocks.
     """
     q, d = spec.q.value, kernel(spec.q).value
-    us, taus = zip(*_product_counts(h))
+    us, tau = _product_counts(h)
     dtype = np.int64 if q < 2**62 else object  # a base plus an offset stays below 2q
-    offsets = np.array([qe * u % q for u in us], dtype=dtype)
-    tau = np.array(taus, dtype=np.float64)
+    offsets = np.array([qe * u % q for u in us.tolist()], dtype=dtype)
     cols = min(len(us), _TABLE)
     rows = _TABLE // cols
     end = spec.c + spec.N + 1

@@ -13,7 +13,7 @@ seed it echoes.  CSV floats carry 17 significant digits; JSON integers
 beyond 2^53 are emitted as strings so nothing is rounded in transit.
 
 Exit codes: 0 success, 1 a verify suite reported failures, 2 usage
-error, 3 cost estimate above budget.
+error (an unwritable --out included), 3 cost estimate above budget.
 """
 
 from __future__ import annotations
@@ -337,7 +337,11 @@ def main(argv=None) -> int:
     except (KlsError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(text, out_path)
+    try:
+        _write_out(text, out_path)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

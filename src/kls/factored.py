@@ -14,20 +14,21 @@ Floating-point results are carried as :class:`ComplexEstimate` values whose
 
 * every unit-circle value ``e(v/q)`` is produced from an exactly reduced
   integer argument ``v mod q``, and its rounding stays below ``2^-48`` in
-  absolute value on IEEE-754 doubles (``u = 2^-53``).  :func:`unit_root`
-  reduces the quadrant exactly and calls libm sin/cos on ``[0, pi/2)``.
-  The vectorised sums in :mod:`kls.klsum` and :mod:`kls.weyl` call numpy
-  cos/sin on a whole turn ``theta = 2 pi v / q`` in ``[0, 2 pi)`` instead:
-  the int-to-float conversion of ``v`` (or the correctly rounded ``v/q``),
-  the scale ``fl(2 pi / q)`` (which rounds ``q``, pi and the quotient)
-  and the product add at most ``4.35 u`` relative, so ``theta`` is off by
-  at most ``4.35 u * 2 pi < 27.4 u``; sin and cos add at most ``4 ulp <=
-  4 u`` more, and the total ``31.4 u`` is still below ``2^-48 = 32 u``;
-* a sum of ``T`` such terms carries ``err <= T * 2^-46``.  Sums are
-  taken with ``math.fsum``, which is correctly rounded and adds at most
-  ``2^-53 * |S| <= T * 2^-53``; where numpy sums a fixed-size chunk
-  first (pairwise, at most ``2^16`` terms), that adds at most ``2^-49``
-  per term.  Both fit under the constant beside the per-term ``2^-48``.
+  absolute value on IEEE-754 doubles (``u = 2^-53``).  :func:`unit_root`,
+  for single values, reduces the quadrant exactly and calls libm sin/cos
+  on ``[0, pi/2)``.  Every vectorised sum (``klsum``, ``postnikov``,
+  ``bounds``, ``weyl``) calls numpy cos/sin on a whole turn ``theta = 2 pi
+  v / q`` in ``[0, 2 pi)`` instead: the correctly rounded ``v/q`` of
+  ``klsum._unit_points`` (or the difference kernel's ``fl(v)``), the scale
+  ``fl(2 pi)`` (or ``fl(2 pi / q)``) and the product add at most ``4.35 u``
+  relative, so ``theta`` is off by at most ``4.35 u * 2 pi < 27.4 u``; sin
+  and cos add at most ``4 ulp <= 4 u`` more, ``31.4 u < 2^-48 = 32 u``;
+* a sum of ``T`` such terms carries ``err <= T * 2^-46 = T * 128 u``.
+  ``math.fsum`` is correctly rounded and adds at most ``u`` per term.  A
+  numpy sum of a chunk of at most ``2^16`` terms (pairwise: at most 10
+  halvings, then blocks of 128 summed 8 ways) puts each term through at
+  most 35 roundings, ``35 u``; a pair-count weight adds ``u`` per pair.
+  All of it stays well below the ``128 u`` per term.
 
 ``precision_bits`` below 53 only loosens the documented constant, to
 ``2^(7 - precision_bits)`` per term (the computation itself always runs

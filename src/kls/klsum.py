@@ -123,13 +123,17 @@ def _phases(q: int, a: int, b: int, ns: list[int]) -> list[int]:
     return args
 
 
-def _unit_points(q: int, args: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _unit_points(q: int, args) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi v / q for each exact argument v in [0, q).
 
     v / q is the correctly rounded quotient of the two integers, so any q
-    works; the angle is then one float product.
+    works (an int64 array with q < 2^53 divides in numpy, where v and q
+    convert exactly); the angle is then one float product.
     """
-    th = np.fromiter((v / q for v in args), dtype=np.float64, count=len(args))
+    if isinstance(args, np.ndarray) and args.dtype == np.int64 and q < 2**53:
+        th = args / q
+    else:
+        th = np.fromiter((v / q for v in args), dtype=np.float64, count=len(args))
     th *= 2.0 * math.pi
     return np.cos(th), np.sin(th)
 

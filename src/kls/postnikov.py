@@ -7,6 +7,11 @@ exponential sum with explicit coefficients a_r, whose reduced
 denominators Q_r drive all later estimates.  This module computes each
 of these objects exactly and cross-checks the expansion multiplicatively
 on every call.
+
+Both evaluations of W depend on x, y only through u = x*y: each takes
+one exact argument per distinct u, turns it into a unit point with
+``klsum._unit_points`` and sums the points weighted by their pair counts
+tau_h(u) with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DivisibilityFailure, NotCoprime
 from .factored import (
     ComplexEstimate,
@@ -23,9 +30,8 @@ from .factored import (
     mod_inverse,
     per_term_bound,
     q_epsilon,
-    unit_root,
 )
-from .klsum import SumSpec
+from .klsum import SumSpec, _phases, _unit_points
 
 
 @dataclass(frozen=True)
@@ -118,29 +124,23 @@ def weyl_coefficients(n: int, spec: SumSpec, ctx: PostnikovContext) -> WeylCoeff
     return WeylCoefficients(ctx.m, tuple(a_list), alpha, v, spec.a * v % q, ctx)
 
 
-@lru_cache(maxsize=None)
-def _product_counts(h: int) -> tuple[tuple[int, int], ...]:
-    """(u, tau_h(u)) for each product u = x*y with x, y in [1, h]; tau_h counts the pairs."""
-    counts: dict[int, int] = {}
-    for x in range(1, h + 1):
-        for y in range(1, h + 1):
-            counts[x * y] = counts.get(x * y, 0) + 1
-    return tuple(counts.items())
-
-
-def _grid_sum(h: int, arg_of, q: int) -> ComplexEstimate:
-    """Sum over x, y in [1, h] of e_q(arg_of(x*y)).
-
-    The phase depends on x*y only, so each distinct product is evaluated
-    once and weighted by its pair count; the weighted terms are summed
-    with ``math.fsum``.
-    """
+@lru_cache(maxsize=4)
+def _product_counts(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, tau), read-only: the distinct products x*y over x, y in [1, h] and their pair counts."""
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    roots = [(tau, unit_root(arg_of(u), q)) for u, tau in _product_counts(h)]
+    r = np.arange(1, h + 1, dtype=np.int64)
+    u, tau = np.unique(np.multiply.outer(r, r), return_counts=True)
+    u.flags.writeable = tau.flags.writeable = False
+    return u, tau
+
+
+def _tau_sum(h: int, args: list[int], tau: np.ndarray, q: int) -> ComplexEstimate:
+    """The h-by-h grid sum of e_q(args[i]) over the pairs x*y = u_i of _product_counts(h)."""
+    cos, sin = _unit_points(q, args)
     return ComplexEstimate(
-        math.fsum(tau * z.real for tau, z in roots),
-        math.fsum(tau * z.imag for tau, z in roots),
+        math.fsum((tau * cos).tolist()),
+        math.fsum((tau * sin).tolist()),
         h * h * per_term_bound(),
     )
 
@@ -148,17 +148,22 @@ def _grid_sum(h: int, arg_of, q: int) -> ComplexEstimate:
 def w_direct(n: int, spec: SumSpec, ctx: PostnikovContext, h: int) -> ComplexEstimate:
     """The h-by-h smoothed sum at window point n, from its definition.
 
-    Sum over x, y in [1,h] of e_q(a*(n+c+q_eps*x*y)* + b*q_eps*x*y); every
-    exponent argument is an exact integer, reduced mod q before the one
-    float conversion.
+    Sum over x, y in [1,h] of e_q(a*(n+c+q_eps*x*y)* + b*q_eps*x*y).  The
+    arguments a m* + b m at m = n+c+q_eps*u come from one batched
+    inversion over the distinct products u; b*(n+c) is subtracted
+    exactly and each argument reduced mod q before the one float
+    conversion.
     """
     q = spec.q.value
     qe = ctx.q_eps.value
     base = n + spec.c
     if math.gcd(base, q) != 1:
         raise NotCoprime(base, q)
-    a, b = spec.a, spec.b
-    return _grid_sum(h, lambda u: a * pow(base + qe * u, -1, q) + b * qe * u, q)
+    us, tau = _product_counts(h)
+    ms = [(base + qe * u) % q for u in us.tolist()]
+    shift = spec.b * base
+    args = [(v - shift) % q for v in _phases(q, spec.a, spec.b, ms)]
+    return _tau_sum(h, args, tau, q)
 
 
 def w_poly(coeffs: WeylCoefficients, h: int) -> ComplexEstimate:
@@ -170,14 +175,14 @@ def w_poly(coeffs: WeylCoefficients, h: int) -> ComplexEstimate:
     """
     q = coeffs.ctx.q.value
     a_rev = coeffs.a_r[::-1]
-
-    def arg_of(u: int) -> int:
+    us, tau = _product_counts(h)
+    args = []
+    for u in us.tolist():
         arg = 0
         for ar in a_rev:
             arg = (arg + ar) * u % q
-        return arg
-
-    return _grid_sum(h, arg_of, q)
+        args.append(arg)
+    return _tau_sum(h, args, tau, q)
 
 
 def denominator_Q_r(coeffs: WeylCoefficients, r: int) -> tuple[FactoredInteger, FactoredInteger]:

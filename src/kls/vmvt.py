@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,20 +99,20 @@ class PowerSumHistogram:
         return out
 
 
-_hist_cache: dict[tuple[int, int, int], PowerSumHistogram] = {}
-
-
 def power_sum_histogram(k: int, m: int, P: int, threads: int = 1) -> PowerSumHistogram:
     """Build (or fetch) the ordered-tuple histogram; total is always P^k.
 
     Round i adds every single-element key to every distinct key of the
     (i-1)-tuples, sorts the sums and merges equal keys by integer
-    addition, so the result does not depend on any schedule.  `threads`
-    has no effect: the build runs in the calling process.
+    addition, so the result does not depend on any schedule.  The last 8
+    histograms are cached.  `threads` has no effect: the build runs in
+    the calling process.
     """
-    cached = _hist_cache.get((k, m, P))
-    if cached is not None:
-        return cached
+    return _build_histogram(k, m, P)
+
+
+@lru_cache(maxsize=8)
+def _build_histogram(k: int, m: int, P: int) -> PowerSumHistogram:
     radix = tuple(2 * k * (P**j - 1) + 1 for j in range(1, m + 1))
     fits_int64 = max(math.prod(radix), P ** (2 * k)) < _INT64_LIMIT
     dtype = np.int64 if fits_int64 else object
@@ -129,7 +130,6 @@ def power_sum_histogram(k: int, m: int, P: int, threads: int = 1) -> PowerSumHis
         keys, counts = sums[starts], np.add.reduceat(weights, starts)
     hist = PowerSumHistogram(k, m, P, radix, keys, counts)
     assert hist.total() == P**k, "histogram lost mass; implementation bug"
-    _hist_cache[(k, m, P)] = hist
     return hist
 
 

@@ -7,11 +7,11 @@ to the nearest integer is exact rational arithmetic whenever the input
 is rational, and every min() decision is made by integer cross
 multiplication.  All logarithms are natural.
 
-lemma3_check and v_r_sum step the residues (C + A n) mod B as numpy
-arrays: int64 while every product fits in 63 bits and B < 2^53, Python
-integers (dtype=object) through the same code otherwise.  Either way the
-terms are the floats a term-by-term loop would produce, summed with
-math.fsum, so the results do not depend on the route.
+geometric_sum_check, lemma3_check and v_r_sum step the residues
+(C + A n) mod B as numpy arrays: int64 while every product fits in 63
+bits and B < 2^53, Python integers (dtype=object) through the same code
+otherwise.  Either way the terms are the floats a term-by-term loop would
+produce and the sums end in math.fsum, so results do not depend on the route.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .factored import ComplexEstimate, FactoredInteger, per_term_bound, unit_root
+from .factored import ComplexEstimate, FactoredInteger, per_term_bound
+from .klsum import CHUNK, _unit_points
 
 
 @dataclass(frozen=True)
@@ -71,27 +72,22 @@ def dist_to_int(alpha) -> Fraction | float:
 def geometric_sum_check(alpha: Fraction, P: int) -> tuple[ComplexEstimate, float, bool]:
     """Sum of e(alpha*n) for n in [1, P] against min(P, 1/dist).
 
-    Returns (sum, bound, holds).  The bound uses the exact rational
-    distance; dist = 0 (alpha an integer) gives bound = P.
+    Returns (sum, bound, holds).  Unit points come from the correctly
+    rounded r/B at r = A n mod B, summed per chunk of CHUNK terms and
+    across chunks with math.fsum, so err = P 2^-46 holds for any P.  The
+    bound uses the exact rational distance; dist = 0 gives bound = P.
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
     alpha = Fraction(alpha)
     B = alpha.denominator
-    A = alpha.numerator % B
-    if A * P < 2**62 and B < 2**62:
-        n = np.arange(1, P + 1, dtype=np.int64)
-        th = (A * n) % B
-        th = th.astype(np.float64) * (2.0 * math.pi / B)
-        re = float(np.cos(th).sum())
-        im = float(np.sin(th).sum())
-    else:
-        z = np.fromiter(
-            (unit_root(A * n, B) for n in range(1, P + 1)), dtype=np.complex128, count=P
-        )
-        re = math.fsum(z.real)
-        im = math.fsum(z.imag)
-    value = ComplexEstimate(re, im, P * per_term_bound())
+    r = _residues(alpha.numerator % B, B, 0, P)
+    re, im = [], []
+    for lo in range(0, P, CHUNK):
+        cos, sin = _unit_points(B, r[lo : lo + CHUNK])
+        re.append(cos.sum())
+        im.append(sin.sum())
+    value = ComplexEstimate(math.fsum(re), math.fsum(im), P * per_term_bound())
     dist = dist_to_int(alpha)
     bound = float(P) if dist == 0 else min(float(P), float(1 / dist))
     holds = value.abs_value() <= bound + value.err
@@ -122,24 +118,29 @@ def rational_approx(alpha, Q_max: int) -> RationalApproximation:
     return RationalApproximation(A, Q, theta)
 
 
+def _residues(A: int, B: int, C: int, P: int, fits: bool = True) -> np.ndarray:
+    """(C + A n) mod B for n in 1..P, for 0 <= A, C < B.
+
+    int64 (every residue and B exact as floats) when B < 2^53,
+    C + A P < 2^63 and the caller's ``fits`` hold; dtype=object otherwise.
+    """
+    n = np.arange(1, P + 1, dtype=np.int64)
+    if not (fits and B < 2**53 and C + A * P < 2**63):
+        n = n.astype(object)
+    return (C + A * n) % B
+
+
 def _min_terms(A: int, B: int, C: int, P: int, U) -> list[float]:
     """[min(U, 1/dist((A n + C)/B)) for n in 1..P], for 0 <= A, C < B.
 
     r = (C + A n) mod B and k = min(r, B - r) give dist = k/B exactly, and
     U <= B/k is decided as un k <= B ud with U = un/ud; a term is U, or
-    B/k as a correctly rounded float quotient.  The arrays are int64 when
-    B < 2^53 (so B and k convert to floats exactly and their float
-    quotient is the correctly rounded one), C + A P < 2^63 and
-    un B, B ud < 2^63; otherwise they hold Python integers (dtype=object)
-    and the same code runs on them.
+    B/k as a correctly rounded float quotient (B and k convert exactly on
+    the int64 route of _residues, which also needs un B, B ud < 2^63).
     """
     ufr = Fraction(U)
     un, ud = ufr.numerator, ufr.denominator
-    small = B < 2**53 and C + A * P < 2**63 and un * B < 2**63 and B * ud < 2**63
-    n = np.arange(1, P + 1, dtype=np.int64)
-    if not small:
-        n = n.astype(object)
-    r = (C + A * n) % B
+    r = _residues(A, B, C, P, un * B < 2**63 and B * ud < 2**63)
     k = np.minimum(r, B - r)
     saturated = (k == 0) | (un * k <= B * ud)
     return np.where(saturated, float(U), B / np.where(saturated, 1, k)).tolist()

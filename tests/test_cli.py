@@ -1,8 +1,12 @@
 """Command-line contract: exit codes, formats, env fallbacks, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kls.cli import main
 from kls.verify import SUITES
@@ -92,7 +96,7 @@ def test_verify_unknown_suite_exit2(capsys):
 def test_verify_csv_drops_nested_fields(capsys):
     code, out, _ = run(capsys, "verify", "amplify", "--cases", "4")
     assert code == 0
-    header = out.strip().split("\n")[0]
+    header = out.strip().split("\n")[0].split(",")
     assert "rows" not in header
     assert "min_rel_margin" in header
 
@@ -251,7 +255,7 @@ def test_counting_output_identical_across_threads(capsys, argv):
 
     outs = []
     for threads in ("1", "2"):
-        vmvt._hist_cache.clear()  # build every histogram again at this thread count
+        vmvt._build_histogram.cache_clear()  # build every histogram again at this thread count
         code, out, _ = run(capsys, *argv, "--threads", threads)
         assert code == 0
         outs.append(out)
@@ -284,6 +288,88 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert code2 == 0
     assert out2 == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_out_exit2(capsys, tmp_path):
+    target = tmp_path / "missing" / "row.csv"
+    code, out, err = run(capsys, "eval", "--q", "3^2", "--N", "8", "--a", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _mostly(valid, invalid):
+    """Draw from `valid` nine times in ten, from the sampled `invalid` values otherwise."""
+    return st.tuples(st.integers(0, 9), valid, st.sampled_from(invalid)).map(
+        lambda t: t[1] if t[0] else t[2]
+    )
+
+
+_MODULI = _mostly(
+    st.sampled_from(["9", "3^2", "2^3*5^2", "5^4", "7^3*11^2", "2^64"]),
+    ["1", "0", "-9", "6^2", "x^2", "3^0", ""],
+)
+_NUMBERS = _mostly(st.integers(-3, 40).map(str), ["x", "1.5", str(2**70)])
+_FLOATS = _mostly(st.sampled_from(["50", "8e9", "1e4"]), ["0", "-1", "nan", "inf", "1e400", "x"])
+_DELTAS = _mostly(st.sampled_from(["1/20", "0.05"]), ["1/2", "0", "x", "1/0"])
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """One command line from the CLI grammar, with values mostly valid.
+
+    Every line carries --threads and a --budget of at most 10^4, and
+    verify lines carry --cases, so no line starts a process pool or runs
+    long; each flag is sometimes dropped, which reaches argparse's errors.
+    """
+
+    def opt(flag, values, keep=9):
+        return [flag, draw(values)] if draw(st.integers(0, 9)) < keep else []
+
+    command = draw(st.sampled_from(["eval", "scan", "verify", "bound", "regime", "jcount"]))
+    argv = [command]
+    if command == "eval":
+        argv += opt("--q", _MODULI) + opt("--N", _NUMBERS) + opt("--a", _NUMBERS)
+        argv += opt("--b", _NUMBERS, 5) + opt("--c", _NUMBERS, 5)
+    elif command == "scan":
+        lists = st.lists(st.integers(-2, 60).map(str), max_size=4).map(",".join)
+        argv += opt("--q", _MODULI) + opt("--a", _NUMBERS) + opt("--c", _NUMBERS, 5)
+        argv += opt("--N-values", _mostly(lists, ["1,x"]))
+    elif command == "verify":
+        argv += [draw(_mostly(st.sampled_from(sorted(SUITES)), ["nosuch"]))]
+        argv += ["--cases", draw(_mostly(st.integers(1, 3), [-1, 0]).map(str))]
+    elif command == "bound":
+        argv += opt("--q", _MODULI) + opt("--N", _NUMBERS) + opt("--delta", _DELTAS, 5)
+    elif command == "regime":
+        argv += opt("--q", _MODULI, 5) + opt("--ln-q", _FLOATS, 5) + opt("--ln-d", _FLOATS, 3)
+        argv += opt("--delta", _DELTAS, 3)
+    else:
+        small = _mostly(st.integers(1, 4), [-1, 0]).map(str)
+        lam = st.lists(st.integers(-9, 9).map(str), max_size=4).map(",".join)
+        argv += opt("--k", small) + opt("--m", small) + opt("--P", small) + opt("--lambda", lam, 5)
+    argv += ["--threads", draw(_mostly(st.just("1"), ["0"]))]
+    argv += ["--budget", draw(_mostly(st.integers(1, 10**4), [0, -5]).map(str))]
+    argv += opt("--precision", _mostly(st.integers(1, 53), [0, 60]).map(str), 3)
+    argv += opt("--seed", _mostly(st.sampled_from(["0", "7"]), ["-1", str(2**64)]), 3)
+    argv += opt("--format", _mostly(st.sampled_from(["csv", "json"]), ["xml"]), 5)
+    argv += opt("--out", st.sampled_from([out_dir / "out.txt", out_dir / "no" / "out.txt"]).map(str), 2)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-out")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_to_3_without_traceback(data, out_dir):
+    argv = data.draw(_argv(out_dir))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_byte_identical_across_threads_and_runs(capsys):

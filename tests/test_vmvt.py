@@ -32,7 +32,7 @@ def test_histogram_total_mass():
 def test_histogram_threads_identical(monkeypatch):
     h1 = power_sum_histogram(3, 2, 5)
     # bypass the cache to force a threaded rebuild, which must start no pool
-    vmvt._hist_cache.pop((3, 2, 5))
+    vmvt._build_histogram.cache_clear()
 
     def no_pool(*args, **kwargs):
         raise AssertionError("counting started a process pool")
