@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DeltaOutOfRange
 from .factored import FactoredInteger, kernel
-from .klsum import SumSpec, _phases, _unit_points, eval_sum
+from .klsum import CHUNK, SumSpec, _phases, _unit_points, eval_sum
 from .postnikov import _product_counts, make_context
 
 GAMMA_T1 = 160.0**-4
@@ -285,24 +285,32 @@ def holder_constant(k: int, m: int) -> float:
     return value
 
 
+def _row_fsum(slices: list[np.ndarray]) -> np.ndarray:
+    """Per row, the math.fsum of its slice sums (one slice passes through)."""
+    if len(slices) == 1:
+        return slices[0]
+    return np.array([math.fsum(row) for row in zip(*slices)])
+
+
 def _abs_w_sum(spec: SumSpec, qe: int, h: int) -> float:
     """Sum of |W(n)| over n in [1, N] with n + c coprime to q.
 
     W(n) e_q(-b(n+c)) = sum_u tau_h(u) g(n + c + qe u) with
     g(m) = e_q(a m* + b m), the klsum summand, so |W(n)| is a
-    tau-weighted gather from one table of g.  Bases n + c (mod q) go in
-    blocks of _TABLE // (distinct u) window positions and the products u
-    in slices of at most _TABLE, so a block gathers at most _TABLE
-    entries whatever q_eps h^2 is.  The block's distinct positions mod q
-    (all coprime, since d | qe) get exact arguments from one batched
-    inversion; the |W| are summed with math.fsum per block and across
-    blocks.
+    tau-weighted gather from one table of g.  The products u go in slices
+    of at most min(CHUNK, _TABLE) and the bases n + c (mod q) in blocks of
+    _TABLE // (slice width) window positions, so a block gathers at most
+    _TABLE entries whatever q_eps h^2 is.  The block's distinct positions
+    mod q (all coprime, since d | qe) get exact arguments from one batched
+    inversion.  A row is numpy-summed per slice, the chunk the rounding
+    model in factored covers, and its slice sums are added with math.fsum,
+    as are the |W| per block and across blocks.
     """
     q, d = spec.q.value, kernel(spec.q).value
     us, tau = _product_counts(h)
     dtype = np.int64 if q < 2**62 else object  # a base plus an offset stays below 2q
     offsets = np.array([qe * u % q for u in us.tolist()], dtype=dtype)
-    cols = min(len(us), _TABLE)
+    cols = min(len(us), CHUNK, _TABLE)
     rows = _TABLE // cols
     end = spec.c + spec.N + 1
     sums = []
@@ -311,16 +319,15 @@ def _abs_w_sum(spec: SumSpec, qe: int, h: int) -> float:
         if not bases:
             continue
         column = np.array(bases, dtype=dtype)[:, None]
-        re = np.zeros(len(bases))
-        im = np.zeros(len(bases))
+        re, im = [], []
         for j in range(0, len(us), cols):
             pos = (column + offsets[None, j : j + cols]) % q
             table, where = np.unique(pos.ravel(), return_inverse=True)
             cos, sin = _unit_points(q, _phases(q, spec.a, spec.b, table.tolist()))
             where = where.reshape(pos.shape)
-            re += (cos[where] * tau[j : j + cols]).sum(axis=1)
-            im += (sin[where] * tau[j : j + cols]).sum(axis=1)
-        sums.append(math.fsum(np.hypot(re, im).tolist()))
+            re.append((cos[where] * tau[j : j + cols]).sum(axis=1))
+            im.append((sin[where] * tau[j : j + cols]).sum(axis=1))
+        sums.append(math.fsum(np.hypot(_row_fsum(re), _row_fsum(im)).tolist()))
     return math.fsum(sums)
 
 
@@ -339,8 +346,8 @@ def amplified_bound(
     klsum summand over the distinct positions n + c + q_eps u of each
     block, with at most 2^21 gathered entries per block (see _abs_w_sum),
     so memory does not grow with q_eps h^2.  Everything runs in the
-    calling process; ``threads`` is accepted for compatibility and has no
-    effect.
+    calling process.  ``threads`` is unused; it stays only because the
+    benchmark harness (perfbench/workloads.py) passes it.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")

@@ -194,13 +194,7 @@ def _cmd_scan(args, cfg: RunConfig):
 
 
 def _cmd_verify(args, cfg: RunConfig):
-    report = run_suite(
-        args.suite,
-        seed=cfg.seed,
-        cases=args.cases,
-        budget=cfg.budget,
-        threads=cfg.threads,
-    )
+    report = run_suite(args.suite, seed=cfg.seed, cases=args.cases, budget=cfg.budget)
     code = 0 if report["failures"] == 0 else 1
     if cfg.output_format == "json":
         return code, _json(report)
@@ -238,7 +232,7 @@ def _cmd_regime(args, cfg: RunConfig):
 def _cmd_jcount(args, cfg: RunConfig):
     lam = _parse_int_list(args.lam, "--lambda") if args.lam else [0] * args.m
     inst = VinogradovInstance(k=args.k, m=args.m, P=args.P, lam=tuple(lam))
-    count = j_count(inst, budget=cfg.budget, threads=cfg.threads)
+    count = j_count(inst, budget=cfg.budget)
     payload = {"k": args.k, "m": args.m, "P": args.P, "lambda": lam, "count": count}
     return 0, _render(payload, cfg)
 

@@ -28,6 +28,8 @@ Floating-point results are carried as :class:`ComplexEstimate` values whose
   numpy sum of a chunk of at most ``2^16`` terms (pairwise: at most 10
   halvings, then blocks of 128 summed 8 ways) puts each term through at
   most 35 roundings, ``35 u``; a pair-count weight adds ``u`` per pair.
+  ``bounds._abs_w_sum`` numpy-sums each |W| row over slices of at most
+  ``2^16`` products and adds a row's slice sums with ``math.fsum``.
   All of it stays well below the ``128 u`` per term.
 
 ``precision_bits`` below 53 only loosens the documented constant, to

@@ -36,19 +36,20 @@ within err.
 The task partition depends only on the spec, never on the worker count,
 and the partial sums are combined with ``math.fsum``, which is correctly
 rounded and so independent of order: the result is bit-identical for any
-worker count.  ``scan`` sends the tasks of all its rows through one
-fan-out and combines each row exactly as ``eval_sum`` does.
+worker count.  Only this module starts worker processes: ``eval_sum`` and
+``scan`` share one fan-out over the tasks of all their specs and combine
+each spec on its own, so a scan row equals the eval_sum of its spec.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import parallel_map
 from .errors import CertificateFailure
 from .factored import ComplexEstimate, FactoredInteger, kernel, per_term_bound
 
@@ -281,11 +282,30 @@ def _run(task: tuple) -> tuple[float, float, int, int]:
     return fn(args)
 
 
-def _combine(parts: list[tuple[float, float, int, int]], precision: int = 53) -> SumResult:
+def _parallel_map(fn, tasks: list, threads: int) -> list:
+    """[fn(t) for t in tasks], in task order.
+
+    Worker processes start only when threads > 1 and there is more than
+    one task; otherwise everything runs in the calling process.
+    """
+    if threads > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def _combine(parts: list[tuple[float, float, int, int]], precision: int) -> SumResult:
     re, im, counted, skipped = zip(*parts)
     terms = sum(counted)
     value = ComplexEstimate(math.fsum(re), math.fsum(im), terms * per_term_bound(precision))
     return SumResult(value, terms, sum(skipped))
+
+
+def _evaluate(specs: list[SumSpec], threads: int, precision: int) -> list[SumResult]:
+    """One result per spec, from a single fan-out over the tasks of all of them."""
+    plans = [_plan(spec) for spec in specs]
+    parts = iter(_parallel_map(_run, [task for plan in plans for task in plan], threads))
+    return [_combine([next(parts) for _ in plan], precision) for plan in plans]
 
 
 def eval_sum(spec: SumSpec, threads: int = 1, precision: int = 53) -> SumResult:
@@ -295,7 +315,7 @@ def eval_sum(spec: SumSpec, threads: int = 1, precision: int = 53) -> SumResult:
     result.  err follows the documented rounding model: terms_counted
     times the per-term constant for the chosen precision.
     """
-    return _combine(parallel_map(_run, _plan(spec), threads), precision)
+    return _evaluate([spec], threads, precision)[0]
 
 
 def shift_to_kernel(spec: SumSpec) -> tuple[SumSpec, int]:
@@ -329,12 +349,8 @@ def scan(
     from .bounds import theorem1_bound
 
     specs = [SumSpec(q, N, a, b, c) for N in N_values]
-    plans = [_plan(spec) for spec in specs]
-    # one fan-out for every row; each row combines its own parts as eval_sum does
-    parts = iter(parallel_map(_run, [task for plan in plans for task in plan], threads))
     rows = []
-    for spec, plan in zip(specs, plans):
-        res = _combine([next(parts) for _ in plan])
+    for spec, res in zip(specs, _evaluate(specs, threads, 53)):
         report = theorem1_bound(q, spec.N)
         absval = res.value.abs_value()
         rows.append(

@@ -106,7 +106,9 @@ def weyl_coefficients(n: int, spec: SumSpec, ctx: PostnikovContext) -> WeylCoeff
     """Exact polynomial-phase coefficients at window point n.
 
     v = (n+c)^(-1) mod q; a_1 = q_eps*(b - a*v^2); for r >= 2,
-    a_r = (-1)^r a v^(r+1) q_eps^r, all mod q.
+    a_r = (-1)^r a v^(r+1) q_eps^r, all mod q.  As a and v are units, a_r = 0
+    for r >= 2 exactly when q | q_eps^r, which always holds at r = m
+    (beta_p + 1 > eps alpha_p and m eps > 2 - eps > 1), so a_m is always 0.
     """
     if ctx.q != spec.q:
         raise ValueError("context was built for a different modulus")

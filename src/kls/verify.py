@@ -99,7 +99,7 @@ def _report(suite, seed, cases, failures, **margins) -> dict:
     return {"suite": suite, "seed": seed, "cases": cases, "failures": failures, **margins}
 
 
-def _suite_lemma1(seed, cases, budget, threads):
+def _suite_lemma1(seed, cases, budget):
     cases = 1000 if cases is None else cases
     rng = random.Random(seed)
     failures = 0
@@ -120,7 +120,7 @@ def _suite_lemma1(seed, cases, budget, threads):
     return _report("lemma1", seed, cases, failures, worst_residual=worst)
 
 
-def _suite_lemma2(seed, cases, budget, threads):
+def _suite_lemma2(seed, cases, budget):
     cases = 10000 if cases is None else cases
     rng = random.Random(seed)
     failures = 0
@@ -136,7 +136,7 @@ def _suite_lemma2(seed, cases, budget, threads):
     return _report("lemma2", seed, cases, failures, min_slack=min_slack)
 
 
-def _suite_lemma3(seed, cases, budget, threads):
+def _suite_lemma3(seed, cases, budget):
     cases = 10000 if cases is None else cases
     rng = random.Random(seed)
     failures = 0
@@ -161,29 +161,31 @@ def _suite_lemma3(seed, cases, budget, threads):
     return _report("lemma3", seed, cases, failures, min_slack=min_slack)
 
 
-def _suite_lemma4(seed, cases, budget, threads):
+def _suite_lemma4(seed, cases, budget):
     # the grid is fixed and cases caps it in grid order; the seed only tags the report
     grid = [(m, tau, P) for m in (1, 2, 3) for tau in (1, 2, 3) for P in range(2, 9)]
     checked = failures = 0
     skipped = []
     worst = -math.inf
     for m, tau, P in grid[:cases]:
-        if P ** (m * tau) > budget:
-            skipped.append([m, tau, P])
+        try:
+            count, log_bound, holds = lemma4_check(m, tau, P, budget=budget)
+        except BudgetExceeded as exc:
+            skipped.append(([m, tau, P], exc.estimated_cost))
             continue
-        count, log_bound, holds = lemma4_check(m, tau, P, budget=budget, threads=threads)
         worst = max(worst, math.log(count) - log_bound)
         checked += 1
         if not holds:
             failures += 1
     if not checked:
-        cheapest = min(P ** (m * tau) for m, tau, P in skipped)
         raise BudgetExceeded(
-            f"all {len(skipped)} requested lemma4 grid points exceed the budget", cheapest, budget
+            f"all {len(skipped)} requested lemma4 grid points exceed the budget",
+            min(cost for _, cost in skipped),
+            budget,
         )
     return _report(
         "lemma4", seed, checked, failures,
-        skipped=len(skipped), skipped_cases=skipped, worst_log_margin=worst,
+        skipped=len(skipped), skipped_cases=[case for case, _ in skipped], worst_log_margin=worst,
     )
 
 
@@ -200,7 +202,7 @@ def _rotation_allowance(lhs: ComplexEstimate, poly: ComplexEstimate, rhs: comple
     return lhs.err + poly.err + abs(rhs) * 2.0**-46
 
 
-def _suite_w_identity(seed, cases, budget, threads):
+def _suite_w_identity(seed, cases, budget):
     cases = 200 if cases is None else cases
     rng = random.Random(seed)
     rows = []
@@ -254,7 +256,7 @@ def _amplify_specs(cases):
         yield q, eps_list[(i // len(moduli)) % len(eps_list)], N, math.isqrt(math.isqrt(N)) + 1
 
 
-def _suite_amplify(seed, cases, budget, threads):
+def _suite_amplify(seed, cases, budget):
     cases = 20 if cases is None else cases
     rng = random.Random(seed)
     rows = []
@@ -268,7 +270,7 @@ def _suite_amplify(seed, cases, budget, threads):
         b = rng.randrange(qv)
         spec = SumSpec(q=q, N=N, a=a, b=b, c=0)
         try:
-            rhs, lhs, holds = amplified_bound(spec, eps, h, budget=budget, threads=threads)
+            rhs, lhs, holds = amplified_bound(spec, eps, h, budget=budget)
         except BudgetExceeded as exc:
             skipped.append(([str(q), str(eps), N, h], exc.estimated_cost))
             continue
@@ -308,7 +310,7 @@ def _suite_amplify(seed, cases, budget, threads):
     )
 
 
-def _suite_shift(seed, cases, budget, threads):
+def _suite_shift(seed, cases, budget):
     cases = 100 if cases is None else cases
     rng = random.Random(seed)
     failures = 0
@@ -350,7 +352,6 @@ def run_suite(
     seed: int = 0,
     cases: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> dict:
     """Run one named suite and return its report dict.
 
@@ -366,4 +367,4 @@ def run_suite(
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         ) from None
-    return fn(seed, cases, budget, threads)
+    return fn(seed, cases, budget)

@@ -18,8 +18,7 @@ each followed by a sort and a merge of equal keys; a count is then one
 binary search of every shifted key and a dot product of the matched
 counts.  Every count is exact: the arrays are int64 while the packed key
 span and P^2k stay below 2^62, and hold Python ints (object dtype) past
-that, through the same code.  Counting runs in the calling process; the
-``threads`` keyword is accepted and has no effect.
+that, through the same code.  Counting runs in the calling process.
 
 The bound constant D(m,tau) reaches astronomical sizes (10^5 digits at
 the scales the estimates run at), so every bound quantity lives in log
@@ -99,14 +98,13 @@ class PowerSumHistogram:
         return out
 
 
-def power_sum_histogram(k: int, m: int, P: int, threads: int = 1) -> PowerSumHistogram:
+def power_sum_histogram(k: int, m: int, P: int) -> PowerSumHistogram:
     """Build (or fetch) the ordered-tuple histogram; total is always P^k.
 
     Round i adds every single-element key to every distinct key of the
     (i-1)-tuples, sorts the sums and merges equal keys by integer
     addition, so the result does not depend on any schedule.  The last 8
-    histograms are cached.  `threads` has no effect: the build runs in
-    the calling process.
+    histograms are cached.
     """
     return _build_histogram(k, m, P)
 
@@ -146,13 +144,14 @@ def _check_budget(k: int, P: int, budget: int) -> None:
 def j_count(inst: VinogradovInstance, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
     """Exact number of solutions of the offset power-sum system.
 
-    `threads` has no effect; counting runs in the calling process.
+    `threads` is unused (counting runs in the calling process); it stays
+    only because the benchmark harness, perfbench/workloads.py, passes it.
     """
     k, m, P, lam = inst.k, inst.m, inst.P, inst.lam
     if any(abs(l) > k * (P**j - 1) for j, l in enumerate(lam, start=1)):
         return 0
     _check_budget(k, P, budget)
-    hist = power_sum_histogram(k, m, P, threads=threads)
+    hist = power_sum_histogram(k, m, P)
     keys, counts = hist.keys, hist.counts
     target = keys - _pack(lam, hist.radix)
     idx = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
@@ -160,13 +159,10 @@ def j_count(inst: VinogradovInstance, budget: int = DEFAULT_BUDGET, threads: int
     return int(np.dot(counts[hit], counts[idx[hit]]))
 
 
-def j_count_zero(k: int, m: int, P: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
-    """Solution count with all offsets zero: sum of squared histogram counts.
-
-    `threads` has no effect; counting runs in the calling process.
-    """
+def j_count_zero(k: int, m: int, P: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Solution count with all offsets zero: sum of squared histogram counts."""
     _check_budget(k, P, budget)
-    counts = power_sum_histogram(k, m, P, threads=threads).counts
+    counts = power_sum_histogram(k, m, P).counts
     return int(np.dot(counts, counts))
 
 
@@ -190,8 +186,9 @@ def lemma4_check(
 ) -> tuple[int, float, bool]:
     """Exact count at k = m*tau against its bound, compared in log space.
 
-    `threads` has no effect; counting runs in the calling process.
+    Raises BudgetExceeded before counting when P^(m tau) exceeds budget.
+    `threads` is unused and stays for the same reason as in j_count.
     """
-    count = j_count_zero(m * tau, m, P, budget=budget, threads=threads)
+    count = j_count_zero(m * tau, m, P, budget=budget)
     _, _, log_bound = lemma4_bound(m, tau, P)
     return count, log_bound, math.log(count) <= log_bound

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kls import _pool, bounds
+from kls import bounds, klsum
 from kls.errors import BudgetExceeded, DeltaOutOfRange
 from kls.factored import FactoredInteger, kernel, per_term_bound
 from kls.klsum import SumSpec, eval_sum, shift_to_kernel
@@ -230,7 +230,7 @@ def test_amplified_bound_threads_identical(monkeypatch):
         raise AssertionError("amplified_bound started a process pool")
 
     # the threaded call must run in this process and give the same answer
-    monkeypatch.setattr(_pool, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(klsum, "ProcessPoolExecutor", no_pool)
     b = amplified_bound(spec2, Fraction(1, 3), 2, threads=2)
     assert a == b
     assert r1[2]

@@ -80,7 +80,7 @@ def test_verify_success_exit0(capsys):
 
 
 def test_verify_failure_exit1(capsys, monkeypatch):
-    def rigged(seed, cases, budget, threads):
+    def rigged(seed, cases, budget):
         return {"suite": "rigged", "seed": seed, "cases": 1, "failures": 1}
 
     monkeypatch.setitem(SUITES, "rigged", rigged)
@@ -232,7 +232,7 @@ def test_verify_json_is_strict(capsys, suite):
 
 
 def test_json_maps_non_finite_floats_to_null(capsys, monkeypatch):
-    def rigged(seed, cases, budget, threads):
+    def rigged(seed, cases, budget):
         return {"suite": "rigged", "failures": 0, "margins": [float("-inf"), float("nan"), 1.5]}
 
     monkeypatch.setitem(SUITES, "rigged", rigged)

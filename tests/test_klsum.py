@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -270,13 +272,13 @@ def test_scan_rows_match_eval_sum_with_one_fan_out(monkeypatch, q, N_values, ker
     q = FactoredInteger.parse(q)
     assert [_plan(SumSpec(q, N, 7, 4, 17))[0][0] for N in N_values] == kernels
     calls = []
-    real = klsum.parallel_map
+    real = klsum._parallel_map
 
     def counting(fn, tasks, threads):
         calls.append(len(tasks))
         return real(fn, tasks, threads)
 
-    monkeypatch.setattr(klsum, "parallel_map", counting)
+    monkeypatch.setattr(klsum, "_parallel_map", counting)
     rows = scan(q, 7, 4, 17, N_values, threads=2)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -284,3 +286,20 @@ def test_scan_rows_match_eval_sum_with_one_fan_out(monkeypatch, q, N_values, ker
         res = eval_sum(SumSpec(q, N, 7, 4, 17), threads=2)
         want = (res.value.re, res.value.im, res.terms_counted)
         assert (row["re"], row["im"], row["terms"]) == want
+
+
+def test_only_klsum_imports_process_pools():
+    """klsum owns the one process pool; no other kls module can start workers."""
+    pooled = {"concurrent", "multiprocessing"}
+    offenders = []
+    for path in sorted(Path(klsum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in pooled for name in names) and path.name != "klsum.py":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders

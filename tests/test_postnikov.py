@@ -266,6 +266,30 @@ def test_denominator_sandwich_random():
         trials += 1
 
 
+def test_weyl_coefficients_vanish_exactly_when_q_divides_q_eps_power():
+    # a_r = +-a v^(r+1) q_eps^r with a, v units, so a_r = 0 iff q | q_eps^r;
+    # m = floor(2/eps) always gives q | q_eps^m, so a_m is always 0
+    rng = random.Random(14)
+    for _ in range(300):
+        q = random_powerful(rng, max_exp=16, limit=2**96)
+        eps = Fraction(rng.randrange(1, 9), rng.randrange(9, 18))
+        ctx = make_context(q, eps)
+        qv, qe = q.value, ctx.q_eps.value
+        a = rng.randrange(1, qv)
+        while math.gcd(a, qv) != 1:
+            a = rng.randrange(1, qv)
+        spec = SumSpec(q, 1, a, rng.randrange(qv), rng.randrange(-qv, qv))
+        n = rng.randrange(1, 10**6)
+        while math.gcd(n + spec.c, qv) != 1:
+            n = rng.randrange(1, 10**6)
+        co = weyl_coefficients(n, spec, ctx)
+        assert co.a_r[-1] == 0
+        for r in range(2, co.m + 1):
+            assert (co.a_r[r - 1] == 0) == (qe**r % qv == 0)
+            if co.a_r[r - 1] == 0:
+                assert denominator_Q_r(co, r)[0].value == 1
+
+
 def test_denominator_index_range():
     q = FactoredInteger.parse("3^4")
     spec = SumSpec(q, 30, 1, 0, 0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kls import _pool, vmvt
+from kls import klsum, vmvt
 from kls.errors import BudgetExceeded
 from kls.vmvt import (
     VinogradovInstance,
@@ -31,14 +31,14 @@ def test_histogram_total_mass():
 
 def test_histogram_threads_identical(monkeypatch):
     h1 = power_sum_histogram(3, 2, 5)
-    # bypass the cache to force a threaded rebuild, which must start no pool
+    # bypass the cache to force a rebuild, which must start no pool
     vmvt._build_histogram.cache_clear()
 
     def no_pool(*args, **kwargs):
         raise AssertionError("counting started a process pool")
 
-    monkeypatch.setattr(_pool, "ProcessPoolExecutor", no_pool)
-    h2 = power_sum_histogram(3, 2, 5, threads=2)
+    monkeypatch.setattr(klsum, "ProcessPoolExecutor", no_pool)
+    h2 = power_sum_histogram(3, 2, 5)
     assert np.array_equal(h1.keys, h2.keys) and np.array_equal(h1.counts, h2.counts)
     assert h1.as_dict() == h2.as_dict()
 
