@@ -17,20 +17,49 @@ Floating-point results are carried as :class:`ComplexEstimate` values whose
   absolute value on IEEE-754 doubles (``u = 2^-53``).  :func:`unit_root`,
   for single values, reduces the quadrant exactly and calls libm sin/cos
   on ``[0, pi/2)``.  Every vectorised sum (``klsum``, ``postnikov``,
-  ``bounds``, ``weyl``) calls numpy cos/sin on a whole turn ``theta = 2 pi
-  v / q`` in ``[0, 2 pi)`` instead: the correctly rounded ``v/q`` of
-  ``klsum._unit_points`` (or the difference kernel's ``fl(v)``), the scale
-  ``fl(2 pi)`` (or ``fl(2 pi / q)``) and the product add at most ``4.35 u``
-  relative, so ``theta`` is off by at most ``4.35 u * 2 pi < 27.4 u``; sin
-  and cos add at most ``4 ulp <= 4 u`` more, ``31.4 u < 2^-48 = 32 u``;
+  ``bounds``, ``weyl``) goes through ``klsum._turn_points`` instead: from
+  ``t = TURN v / q`` in ``[0, TURN]``, ``TURN = 2^10``, it takes
+  ``i = floor(t)`` and ``r = t - i`` and returns ``T[i] E(r)``, a table
+  entry for ``e(i / TURN)`` times polynomials for ``e(r / TURN)``.  Term by
+  term, as complex moduli:
+
+  - forming ``t``: ``klsum._unit_points`` scales the correctly rounded
+    ``v/q`` by ``TURN``, which is exact, so the angle ``2 pi t / TURN`` is
+    off by at most ``2 pi * u/2 < 3.15 u``.  The difference kernel's
+    ``fl(fl(v) * fl(TURN / q))`` has three roundings, at most ``3.0000001 u``
+    relative, so its angle is off by less than ``6 pi * 1.0000001 u <
+    18.9 u``.  ``i`` and ``r`` are then exact (Sterbenz), and a point is
+    off by no more than its angle;
+  - table: libm evaluates the first octant at ``fl(fl(pi/4) * j/128)``,
+    within ``2 u * pi/4 < 1.58 u`` of the true angle, to at most 1 ulp
+    ``<= u`` per component (the table test checks every entry against
+    mpmath); the other entries are exact reflections.  So
+    ``|T^ - T| < 1.58 u + sqrt(2) u < 3 u``;
+  - polynomials: with ``x = 2 pi r / TURN < 2 pi / 1024``, cos to degree 4
+    is truncated by at most ``x^6 / 720 < 0.67 u`` and sin to degree 5 by
+    ``x^7 / 5040 < 0.001 u``.  Adding the leading 1 rounds by at most
+    ``u``; every other operation acts on terms below ``1.9e-5`` (cos) or
+    ``0.0062`` (sin), with coefficients within a few ``u`` relative, and
+    adds less than ``0.07 u``.  So ``|E^ - E| < 1.7 u``, and
+    ``|T^ E^ - T E| <= |T^| |E^ - E| + |T^ - T| < 4.71 u``;
+  - product: each component is two products and a difference of values of
+    modulus at most ``1 + 4 u``, so it rounds by at most ``2.02 u``, less
+    than ``2.86 u`` as a complex number.
+
+  A point is therefore off by less than ``3.15 + 4.71 + 2.86 < 11 u`` from
+  ``_unit_points`` and less than ``18.9 + 4.71 + 2.86 < 27 u`` from the
+  difference kernel, both within ``2^-48 = 32 u``;
 * a sum of ``T`` such terms carries ``err <= T * 2^-46 = T * 128 u``.
   ``math.fsum`` is correctly rounded and adds at most ``u`` per term.  A
   numpy sum of a chunk of at most ``2^16`` terms (pairwise: at most 10
   halvings, then blocks of 128 summed 8 ways) puts each term through at
-  most 35 roundings, ``35 u``; a pair-count weight adds ``u`` per pair.
-  ``bounds._abs_w_sum`` numpy-sums each |W| row over slices of at most
-  ``2^16`` products and adds a row's slice sums with ``math.fsum``.
-  All of it stays well below the ``128 u`` per term.
+  most 35 roundings, ``35 u`` (per component, and so as a complex modulus
+  by Minkowski's inequality); a pair-count weight adds ``u`` per pair.
+  The difference kernel sums the points of whole blocks together, at most
+  ``max(s, klsum.BATCH) <= 2^16`` of them.  ``bounds._abs_w_sum``
+  numpy-sums each |W| row over slices of at most ``2^16`` products and
+  adds a row's slice sums with ``math.fsum``.  All of it stays below
+  ``32 u + 37 u = 69 u``, well inside the ``128 u`` per term.
 
 ``precision_bits`` below 53 only loosens the documented constant, to
 ``2^(7 - precision_bits)`` per term (the computation itself always runs

@@ -7,7 +7,11 @@ main performance lever for powerful q.
 
 Two kernels evaluate a window.  Both compute the same exact integer
 argument a n* + b n mod q for every n; only the conversion to floating
-point and the summation order differ.
+point and the summation order differ.  Either way a point e(v / q) comes
+from one table-driven routine, ``_turn_points`` (Tang's method for
+elementary functions): a table of the TURN-th roots of unity times short
+polynomials for the rest of the turn, with no libm call per term.  The
+postnikov, bounds and weyl sums reach it through ``_unit_points``.
 
 * The batch kernel cuts the window into chunks of CHUNK positions.  Each
   chunk inverts its residues with one batched inversion (prefix products
@@ -21,16 +25,17 @@ point and the summation order differ.
   forward-difference table (Knuth, TAOCP 2, 4.6.4), seeded from the exact
   values at m+1 consecutive z, is stepped one block of s positions at a
   time in unsigned 64-bit numpy vectors over all coprime residues: m adds
-  mod q, each sum below 2q < 2^63.  Every task ends with an exact
-  certificate: the stepped arguments of its last block are compared with
-  a n* + b n mod q computed in Python integers, and a mismatch raises
+  mod q, each sum below 2q < 2^63.  The points of consecutive blocks are
+  made and summed together, up to BATCH of them.  Every task ends with an
+  exact certificate: the stepped arguments of its last block are compared
+  with a n* + b n mod q computed in Python integers, and a mismatch raises
   CertificateFailure instead of returning a sum.
 
 eval_sum takes the difference kernel when q < 2^62 and the window is
 long enough for some s to beat the batch kernel on a cost estimate
 (``_difference_step``, from about 10^4 positions); shorter windows and
-larger moduli take the batch kernel.  Long-window values therefore may
-differ from releases before the difference kernel in the last bits,
+larger moduli take the batch kernel.  Values may differ from releases
+before the difference kernel or before the root table in the last bits,
 within err.
 
 The task partition depends only on the spec, never on the worker count,
@@ -62,6 +67,15 @@ DIFFERENCE_LIMIT = 1 << 62
 # Positions per difference-kernel task at most: each task pays its own
 # seeding and certificate, and separate tasks can run on separate workers.
 SEGMENT = 1 << 23
+
+# Points per _turn_points call: _unit_points takes its arguments BATCH at a
+# time, and the difference kernel gathers consecutive blocks up to BATCH
+# points, so that small blocks share the numpy dispatch.
+BATCH = 1 << 14
+
+# Unit points come from a table of the TURN-th roots of unity, 16 KB of cos
+# and sin that stays in the L1 cache (see _turn_points).
+TURN = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -124,19 +138,93 @@ def _phases(q: int, a: int, b: int, ns: list[int]) -> list[int]:
     return args
 
 
+def _root_table() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi i / TURN for i = 0, ..., TURN, read-only.
+
+    libm evaluates the first octant only; the other entries are its exact
+    reflections, so the quarter turns are exact (and +0.0 folds -0.0).
+    """
+    eighth = TURN // 8
+    x = [math.pi / 4 * (i / eighth) for i in range(eighth + 1)]
+    c = [math.cos(v) for v in x]
+    s = [math.sin(v) for v in x]
+    qc = np.array(c + s[-2::-1])  # the first quadrant: cos(pi/2 - x) = sin x
+    qs = np.array(s + c[-2::-1])
+    cos = np.concatenate([qc[:-1], -qs[:-1], -qc[:-1], qs[:-1], [1.0]]) + 0.0
+    sin = np.concatenate([qs[:-1], qc[:-1], -qs[:-1], -qc[:-1], [0.0]]) + 0.0
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+_ROOT_COS, _ROOT_SIN = _root_table()
+
+# e(r / TURN) for r in [0, 1]: cos to degree 4 and sin to degree 5 in r, the
+# Taylor coefficients of cos and sin at w r, w = 2 pi / TURN.
+_W = 2 * math.pi / TURN
+_COS2, _COS4 = -(_W**2) / 2, _W**4 / 24
+_SIN1, _SIN3, _SIN5 = _W, -(_W**3) / 6, _W**5 / 120
+
+
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for _turn_points on up to n points: one index and two float arrays."""
+    return np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+
+
+def _turn_points(
+    t: np.ndarray, cos: np.ndarray, sin: np.ndarray, work: tuple[np.ndarray, ...]
+) -> None:
+    """Write cos and sin of 2 pi t / TURN into cos and sin, for each t in [0, TURN].
+
+    Table-driven (P. T. P. Tang, ACM TOMS 15(2), 1989): i = floor(t)
+    picks the root e(i / TURN) from the table, r = t - i is exact, and
+    e(r / TURN) comes from short polynomials in r; the point is their
+    product.  t is overwritten; work comes from _workspace and is at least
+    as long as t.
+    """
+    idx, a, b = (w[: len(t)] for w in work)
+    np.floor(t, out=b)
+    np.subtract(t, b, out=t)
+    np.copyto(idx, b, casting="unsafe")
+    np.multiply(t, t, out=a)
+    np.multiply(a, _COS4, out=cos)
+    cos += _COS2
+    cos *= a
+    cos += 1.0
+    np.multiply(a, _SIN5, out=sin)
+    sin += _SIN3
+    sin *= a
+    sin += _SIN1
+    sin *= t
+    # every index lies in [0, TURN]; "clip" only skips the checked, buffered path
+    np.take(_ROOT_COS, idx, out=t, mode="clip")
+    np.take(_ROOT_SIN, idx, out=a, mode="clip")
+    np.multiply(t, sin, out=b)
+    np.multiply(a, sin, out=sin)
+    np.multiply(a, cos, out=a)
+    np.multiply(t, cos, out=cos)
+    cos -= sin
+    np.add(a, b, out=sin)
+
+
 def _unit_points(q: int, args) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi v / q for each exact argument v in [0, q).
 
     v / q is the correctly rounded quotient of the two integers, so any q
     works (an int64 array with q < 2^53 divides in numpy, where v and q
-    convert exactly); the angle is then one float product.
+    convert exactly).  Scaling it by TURN is exact, and _turn_points turns
+    it into points, BATCH at a time on one workspace.
     """
     if isinstance(args, np.ndarray) and args.dtype == np.int64 and q < 2**53:
-        th = args / q
+        t = args / q
     else:
-        th = np.fromiter((v / q for v in args), dtype=np.float64, count=len(args))
-    th *= 2.0 * math.pi
-    return np.cos(th), np.sin(th)
+        t = np.fromiter((v / q for v in args), dtype=np.float64, count=len(args))
+    t *= TURN
+    cos, sin = np.empty_like(t), np.empty_like(t)
+    work = _workspace(min(len(t), BATCH))
+    for lo in range(0, len(t), BATCH):
+        part = slice(lo, lo + BATCH)
+        _turn_points(t[part], cos[part], sin[part], work)
+    return cos, sin
 
 
 def _chunk_sum(task: tuple[int, int, int, int, int, int]) -> tuple[float, float, int, int]:
@@ -189,11 +277,12 @@ def _difference_sum(
     table = _difference_table(q, a, b, ns, s, m)
     value = table[0]
     k = len(ns)
+    per = max(1, BATCH // k)  # blocks whose points are made and summed together
     spare = np.empty(k, dtype=np.uint64)
-    th = np.empty(k)
-    trig = np.empty(k)
+    t, cos, sin = np.empty(per * k), np.empty(per * k), np.empty(per * k)
+    work = _workspace(per * k)
     q64 = np.uint64(q)
-    scale = 2.0 * math.pi / q
+    scale = TURN / q
     re, im = [], []
     for z in range(blocks):
         if z:
@@ -202,10 +291,13 @@ def _difference_sum(
                 np.add(table[j], table[j + 1], out=table[j])
                 np.subtract(table[j], q64, out=spare)
                 np.minimum(table[j], spare, out=table[j])
-        np.multiply(value, scale, out=th)
-        t = th if z < blocks - 1 else th[:last]
-        re.append(np.cos(t, out=trig[: len(t)]).sum())
-        im.append(np.sin(t, out=trig[: len(t)]).sum())
+        i = z % per
+        np.multiply(value, scale, out=t[i * k : (i + 1) * k])
+        if i == per - 1 or z == blocks - 1:
+            used = i * k + (k if z < blocks - 1 else last)
+            _turn_points(t[:used], cos[:used], sin[:used], work)
+            re.append(cos[:used].sum())
+            im.append(sin[:used].sum())
     z = blocks - 1
     if value.tolist() != _phases(q, a, b, [n + s * z for n in ns]):
         raise CertificateFailure(
@@ -223,12 +315,13 @@ def _difference_step(q: FactoredInteger, N: int) -> tuple[int, int] | None:
     (m+1) s <= CHUNK entries.  Each is costed in nanoseconds from
     per-operation times measured on a 2-vCPU Xeon: about 900 per exact
     argument (seeding m+1 blocks plus the certificate's one), 70 per
-    coprimality test, 5300 + 3600 m numpy dispatch per block and 10 + m
-    per counted term, against 70 per position and 1500 per counted term
-    on the batch path.  The kernel is taken only below half the batch
-    estimate, since fixed per-call costs are left out; the estimates
-    steer only the speed, as both kernels compute the same exact
-    arguments.
+    coprimality test, 2500 + 4500 m numpy dispatch per block, 21000 per
+    batch of points (_turn_points and two sums over up to BATCH points)
+    and 12 + m per counted term, against 70 per position and 1500 per
+    counted term on the batch path.  The kernel is taken only below half
+    the batch estimate, since fixed per-call costs are left out; the
+    estimates steer only the speed, as both kernels compute the same
+    exact arguments.
     """
     if q.value >= DIFFERENCE_LIMIT:
         return None
@@ -243,16 +336,17 @@ def _difference_step(q: FactoredInteger, N: int) -> tuple[int, int] | None:
             if t * p**e <= CHUNK
         ]
     counted = N * phi_d / d
-    costs = [
-        (
-            900 * (m1 + 1) * (s // d * phi_d) + 70 * s
-            + -(-N // s) * (5300 + 3600 * (m1 - 1)) + (9 + m1) * counted,
-            s,
-            m1 - 1,
+    costs = []
+    for s, m1 in candidates:
+        if m1 * s > CHUNK:
+            continue
+        m, k, blocks = m1 - 1, s // d * phi_d, -(-N // s)
+        batches = -(-blocks // max(1, BATCH // k))
+        cost = (
+            900 * (m + 2) * k + 70 * s
+            + blocks * (2500 + 4500 * m) + batches * 21000 + (12 + m) * counted
         )
-        for s, m1 in candidates
-        if m1 * s <= CHUNK
-    ]
+        costs.append((cost, s, m))
     cost, s, m = min(costs, default=(math.inf, 0, 0))
     return (s, m) if 2 * cost < 70 * N + 1500 * counted else None
 

@@ -19,7 +19,8 @@ worst margin the suite observed.  The margin conventions are
   list; lhs/rhs are [re, im] pairs;
 - amplify: ``min_rel_margin``, (rhs - lhs)/rhs, and ``nontrivial_cases``,
   the rows whose rhs is below their coprime-term count ``terms`` (the
-  triangle-inequality bound).  Case 0 is q = 2^40, eps = 1/5, h = 8,
+  triangle-inequality bound).  A row fails when lhs exceeds rhs by more
+  than the tracked rounding of both sides (``bounds.amplified_bound``).  Case 0 is q = 2^40, eps = 1/5, h = 8,
   N = 10^5, which is nontrivial; the others are desk moduli, where
   h^2 q_eps > N.  A report with no nontrivial row counts as a failure,
   since none of its inequalities could have failed, unless a case was

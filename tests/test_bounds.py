@@ -271,7 +271,23 @@ def test_amplified_bound_matches_w_direct(monkeypatch, q, eps, h, N, a, b, c, ta
     want, count = _amplified_rhs_reference(spec, eps, h)
     assert abs(rhs - want) <= count * 2 * per_term_bound() + 1e-12 * want
     assert lhs == eval_sum(spec).value.abs_value()
-    assert holds == (lhs <= rhs + 1e-6 * rhs)
+    assert holds and lhs <= rhs
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_amplified_bound_decides_with_tracked_allowance(monkeypatch, h):
+    """An rhs 1e-7 below lhs, far above both rounding bounds, is a violation; rhs = lhs is not."""
+    q, eps = FactoredInteger.parse("2^40"), Fraction(1, 5)
+    spec = SumSpec(q, 2000, 12345, 678, 0)
+    lhs = eval_sum(spec).value.abs_value()
+    qe = make_context(q, eps).q_eps.value
+    for factor, want in ((1 - 1e-7, False), (1.0, True)):
+        monkeypatch.setattr(
+            bounds, "_abs_w_sum", lambda spec, qe_, h_: (lhs * factor - h * h * qe) * h * h
+        )
+        rhs, got, holds = amplified_bound(spec, eps, h)
+        assert got == lhs and rhs == pytest.approx(lhs * factor, rel=1e-12)
+        assert holds is want
 
 
 def test_regime_report_concrete():

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,42 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_examples() -> list[tuple[list[str], int | None, str]]:
+    """(argv, head, output) for every `$ kls ...` line in README's code blocks.
+
+    A command's output is the block's lines up to the next `$` line; a
+    trailing `| head -N` keeps the first N lines of stdout.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in text.split("```")[1::2]:
+        lines = block.strip("\n").split("\n")
+        starts = [i for i, line in enumerate(lines) if line.startswith("$ kls ")]
+        for i, j in zip(starts, starts[1:] + [len(lines)]):
+            command, _, head = lines[i].removeprefix("$ ").partition(" | head -")
+            output = "\n".join(lines[i + 1 : j]).strip("\n")
+            examples.append((shlex.split(command)[1:], int(head) if head else None, output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_quick_start_is_checked():
+    assert [argv[0] for argv, _, _ in README_EXAMPLES][:3] == ["eval", "jcount", "verify"]
+
+
+@pytest.mark.parametrize(
+    "argv, head, output", README_EXAMPLES, ids=[" ".join(argv) for argv, _, _ in README_EXAMPLES]
+)
+def test_readme_examples_match_cli(capsys, monkeypatch, argv, head, output):
+    for name in ("THREADS", "PRECISION", "SEED", "BUDGET", "FORMAT", "OUT"):
+        monkeypatch.delenv(f"KLS_{name}", raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "\n".join(out.rstrip("\n").split("\n")[:head]) == output
 
 
 def test_eval_csv(capsys):

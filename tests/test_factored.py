@@ -185,6 +185,12 @@ def test_per_term_bound():
         per_term_bound(64)
 
 
+@given(st.integers(1, 53), st.integers(1, 53))
+def test_per_term_bound_never_shrinks_as_precision_drops(p, p2):
+    lo, hi = sorted((p, p2))
+    assert per_term_bound(lo) >= per_term_bound(hi)
+
+
 def test_complex_estimate():
     z = ComplexEstimate(3.0, 4.0, 1e-12)
     assert z.abs_value() == 5.0

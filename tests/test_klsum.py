@@ -5,6 +5,8 @@ import math
 import random
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,15 @@ from kls.klsum import (
     CHUNK,
     DIFFERENCE_LIMIT,
     SCAN_FIELDS,
+    TURN,
     SumSpec,
     _chunk_sum,
     _difference_step,
     _difference_sum,
     _plan,
+    _turn_points,
+    _unit_points,
+    _workspace,
     eval_sum,
     scan,
     shift_to_kernel,
@@ -303,3 +309,81 @@ def test_only_klsum_imports_process_pools():
             if any(name.split(".")[0] in pooled for name in names) and path.name != "klsum.py":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+U = 2.0**-53
+# Per-point bounds of the rounding model in kls.factored: the table entries,
+# and a whole point from _unit_points and from the difference kernel.
+TABLE_ERR, UNIT_POINT_ERR, DIFFERENCE_POINT_ERR = 3 * U, 11 * U, 27 * U
+
+
+def _point_errors(q: int, vs, cos, sin) -> float:
+    """Largest |computed - e(v/q)| over the points, against mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        return max(
+            float(abs(mpmath.mpc(c, s) - mpmath.expjpi(2 * mpmath.mpf(v) / q)))
+            for v, c, s in zip(vs, cos.tolist(), sin.tolist())
+        )
+
+
+def _edge_arguments(q: int) -> list[int]:
+    """v = 0, q - 1, the quarter turns, v just below, at and above bin edges, and a random spread.
+
+    Every q here is a multiple of TURN, so v = j q / TURN puts t exactly on edge j.
+    """
+    assert q % TURN == 0
+    vs = [0, q - 1, q // 4, q // 2, 3 * q // 4]
+    for j in (1, 2, 127, 128, 255, 256, 257, 511, 512, 640, 767, 768, 1023):
+        vs += [(j * q // TURN + delta) % q for delta in (-(q // TURN) // 3, -2, -1, 0, 1, 2)]
+    rng = random.Random(q)
+    return vs + [rng.randrange(q) for _ in range(300)]
+
+
+def test_root_table_within_model():
+    with mpmath.workdps(60):
+        worst = max(
+            float(abs(mpmath.mpc(c, s) - mpmath.expjpi(mpmath.mpf(2 * i) / TURN)))
+            for i, (c, s) in enumerate(zip(klsum._ROOT_COS.tolist(), klsum._ROOT_SIN.tolist()))
+        )
+    assert len(klsum._ROOT_COS) == TURN + 1 and worst <= TABLE_ERR
+    quarter = TURN // 4
+    assert [(klsum._ROOT_COS[i], klsum._ROOT_SIN[i]) for i in range(0, TURN + 1, quarter)] == [
+        (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)
+    ]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [2**12 * 3**20, 2**12 * 3**28, 2**12 * 3**40],
+    ids=["int64-below-2^53", "python-ints-below-2^62", "python-ints-above-2^62"],
+)
+def test_unit_points_within_model(q):
+    vs = _edge_arguments(q)
+    args = np.array(vs, dtype=np.int64) if q < 2**53 else vs
+    cos, sin = _unit_points(q, args)
+    assert _point_errors(q, vs, cos, sin) <= UNIT_POINT_ERR
+    # exact at the quarter turns
+    assert list(zip(cos[2:5], sin[2:5])) == [(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+@pytest.mark.parametrize("q", [2**10 * 3**28, 2**12 * 3**30 + 2**12], ids=["2^10*3^28", "2^12*(3^30+1)"])
+def test_difference_kernel_points_within_model(q):
+    """The kernel's route: t = fl(v) fl(TURN / q) from uint64 arguments, then _turn_points."""
+    assert 2**53 <= q < DIFFERENCE_LIMIT
+    vs = _edge_arguments(q)
+    t = np.array(vs, dtype=np.uint64) * (TURN / q)
+    cos, sin = np.empty(len(vs)), np.empty(len(vs))
+    _turn_points(t, cos, sin, _workspace(len(vs)))
+    assert _point_errors(q, vs, cos, sin) <= DIFFERENCE_POINT_ERR
+
+
+def test_difference_kernel_single_terms_match_route():
+    """A one-term window of the real kernel is the point of its argument v = a + b (n = 1)."""
+    q = 3**38
+    vs = [0, q - 1, q // 4, q // 2] + [j * q // TURN + delta for j in (1, 511, 1023) for delta in (0, 1)]
+    t = np.array(vs, dtype=np.uint64) * (TURN / q)
+    cos, sin = np.empty(len(vs)), np.empty(len(vs))
+    _turn_points(t, cos, sin, _workspace(len(vs)))
+    for v, c, s in zip(vs, cos.tolist(), sin.tolist()):
+        assert _difference_sum((q, 3, 1, (v - 1) % q, 0, 1, 3**6, 6)) == (c, s, 1, 0)
+    assert _point_errors(q, vs, cos, sin) <= DIFFERENCE_POINT_ERR
